@@ -30,7 +30,7 @@ client
 bench
     Run one of the paper's experiments (table1..table4, fig9..fig13),
     the perf harness, the naive-vs-remapped ``yield`` comparison, or
-    the ``service`` trace-replay benchmark.
+    the ``service`` load generator.
 
 ``synth``, ``map`` and ``validate`` execute through
 :mod:`repro.service.jobs` — the same code path service workers run —
@@ -344,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--remote-dir", metavar="PATH",
                          help="shared-directory remote cache tier: nodes pointed at "
                               "the same directory share one result space")
-    serve_p.add_argument("--front", default="async", choices=["async", "threaded"],
-                         help="socket front: asyncio multiplexer (default) or the "
-                              "classic thread-per-connection server")
     serve_p.add_argument("--drain-timeout", type=float, default=30.0, metavar="SECONDS",
                          help="how long a graceful shutdown waits for in-flight jobs")
 
@@ -453,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
         help="paper table/figure, 'perf' (default) for the perf baseline harness, "
              "'yield' for the naive-vs-remapped fault-recovery comparison, "
-             "'service' for the synthesis-service trace replay, or 'campaign' "
+             "'service' for the synthesis-service load generator, or 'campaign' "
              "for the clean-vs-chaos yield-campaign harness",
     )
     bench.add_argument("--tier", default=None, choices=[None, "fast", "full"])
@@ -469,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--perf-json", metavar="PATH",
-        help="write the perf baseline (e.g. BENCH_compact.json); with 'service "
-             "--load' instead merge the load report into an existing baseline",
+        help="write the perf baseline (e.g. BENCH_compact.json); with 'service' "
+             "instead merge the load report into an existing baseline",
     )
     bench.add_argument(
         "--layer-sweep", metavar="K1,K2,...", dest="layer_sweep",
@@ -501,19 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="yield experiment: Monte-Carlo seed")
     bench.add_argument("--resynthesize", action="store_true",
                        help="yield experiment: escalate to re-synthesis on failure")
-    bench.add_argument("--requests", type=int, default=200, metavar="N",
-                       help="service experiment: trace length")
-    bench.add_argument("--repeat-rate", type=float, default=0.5, metavar="R",
-                       help="service experiment: fraction of repeated requests")
-    bench.add_argument("--clients", type=int, default=4, metavar="N",
-                       help="service experiment: concurrent client connections")
-    bench.add_argument("--trace", metavar="PATH",
-                       help="service experiment: replay this recorded trace JSON")
-    bench.add_argument("--load", metavar="MIX", default=None,
-                       choices=[None, "cached", "synth-heavy", "validate-heavy",
+    bench.add_argument("--load", metavar="MIX", default="trace",
+                       choices=["trace", "cached", "synth-heavy", "validate-heavy",
                                 "fault-storm"],
-                       help="service experiment: run the fleet load generator with "
-                            "this mix instead of the trace replay")
+                       help="service experiment: the load generator's request mix "
+                            "(default: trace, half repeats and no warm-up)")
     bench.add_argument("--connections", type=int, default=64, metavar="N",
                        help="load generator: concurrent connections")
     bench.add_argument("--requests-per-conn", type=int, default=50, metavar="N",
@@ -523,10 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--node-count", type=int, default=1, metavar="N",
                        help="load generator: in-process service nodes sharing one "
                             "remote cache tier")
-    bench.add_argument("--front", default="async",
-                       choices=["async", "threaded", "both"],
-                       help="load generator: which socket front to drive; 'both' "
-                            "runs threaded then async and reports the speedup")
     bench.add_argument("--rps-floor", type=float, default=None, metavar="RPS",
                        help="load generator: exit 1 when throughput lands below "
                             "this floor (CI regression gate)")
@@ -534,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="load generator: exit 1 when the error rate exceeds "
                             "this fraction")
     bench.add_argument("--socket", metavar="PATH",
-                       help="service experiment: replay against this running server")
+                       help="service experiment: drive this running server")
     bench.add_argument("--tcp", metavar="HOST:PORT",
-                       help="service experiment: replay against this running server")
+                       help="service experiment: drive this running server")
     bench.add_argument("--samples", type=int, default=200, metavar="N",
                        help="campaign experiment: fault maps sampled")
     bench.add_argument("--shard-size", type=int, default=25, metavar="N",
@@ -845,7 +830,7 @@ def _parse_address_or_exit(socket_path: str | None, tcp: str | None):
 
 
 def _cmd_serve(args) -> int:
-    from .service import DirectoryRemoteTier, ServiceServer, ThreadedServiceServer
+    from .service import DirectoryRemoteTier, ServiceServer
 
     address = _parse_address_or_exit(args.socket, args.tcp)
     if args.cache_size < 0:
@@ -853,9 +838,8 @@ def _cmd_serve(args) -> int:
     if args.cache_shards < 1:
         raise _usage_error("--cache-shards must be >= 1")
     remote = DirectoryRemoteTier(args.remote_dir) if args.remote_dir else None
-    server_cls = ServiceServer if args.front == "async" else ThreadedServiceServer
     try:
-        server = server_cls(
+        server = ServiceServer(
             address,
             jobs=_resolve_jobs(args.jobs),
             queue_size=args.queue_size,
@@ -873,7 +857,7 @@ def _cmd_serve(args) -> int:
     except OSError as exc:
         raise _usage_error(f"cannot bind {args.socket or args.tcp}: {exc}") from exc
     print(f"repro service listening on {server.describe_address()} "
-          f"({args.front} front, {server.engine.max_workers} workers, "
+          f"({server.engine.max_workers} workers, "
           f"cache={'on' if server.cache else 'off'}"
           f"{', remote tier' if remote else ''})")
     try:
@@ -1027,84 +1011,44 @@ def _cmd_bench_campaign(args) -> int:
 
 
 def _cmd_bench_service(args) -> int:
-    if args.load:
-        return _cmd_bench_service_load(args)
-    from .service.bench import render_service_table, run_service_bench
-
-    connect = None
-    if args.socket or args.tcp:
-        connect = _parse_address_or_exit(args.socket, args.tcp)
-    try:
-        payload = run_service_bench(
-            requests=args.requests,
-            repeat_rate=args.repeat_rate,
-            clients=args.clients,
-            jobs=_resolve_jobs(args.jobs),
-            seed=args.seed,
-            connect=connect,
-            trace_path=args.trace,
-        )
-    except (ValueError, OSError) as exc:
-        raise _usage_error(str(exc)) from exc
-    print(render_service_table(payload).render())
-    return 0
-
-
-def _cmd_bench_service_load(args) -> int:
-    """The fleet load generator path of ``repro bench service --load``."""
+    """``repro bench service``: run the load generator on one mix."""
     import json as json_mod
 
-    from .service.loadgen import compare_fronts, render_load_table, run_load
+    from .service.loadgen import render_load_table, run_load
 
     connects = None
     if args.socket or args.tcp:
         connects = [_parse_address_or_exit(args.socket, args.tcp)]
     try:
-        if args.front == "both":
-            if connects is not None:
-                raise _usage_error("--front both starts its own servers; "
-                                   "drop --socket/--tcp")
-            block = compare_fronts(
-                mix=args.load, connections=args.connections,
-                requests_per_conn=args.requests_per_conn,
-                pipeline=args.pipeline, jobs=args.jobs, seed=args.seed,
-            )
-            gated = block["async"]
-            print(render_load_table(block["threaded"]).render())
-            print()
-            print(render_load_table(gated).render())
-            print(f"\nasync over threaded: {block['speedup_rps']:.2f}x RPS")
-        else:
-            block = gated = run_load(
-                mix=args.load, connections=args.connections,
-                requests_per_conn=args.requests_per_conn,
-                pipeline=args.pipeline, node_count=args.node_count,
-                front=args.front, jobs=args.jobs, seed=args.seed,
-                connects=connects,
-            )
-            print(render_load_table(gated).render())
+        report = run_load(
+            mix=args.load, connections=args.connections,
+            requests_per_conn=args.requests_per_conn,
+            pipeline=args.pipeline, node_count=args.node_count,
+            jobs=args.jobs, seed=args.seed, connects=connects,
+        )
     except (ValueError, OSError) as exc:
         raise _usage_error(str(exc)) from exc
+    print(render_load_table(report).render())
 
     if args.perf_json:
         from .perf import validate_bench_payload
 
         path = Path(args.perf_json)
         payload = json_mod.loads(path.read_text())
-        payload["service_load"] = block
+        payload["service_load"] = report
         validate_bench_payload(payload)
         path.write_text(json_mod.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
 
     failures = []
-    if args.rps_floor is not None and gated["rps"] < args.rps_floor:
+    if args.rps_floor is not None and report["rps"] < args.rps_floor:
         failures.append(
-            f"throughput {gated['rps']:.1f} req/s is below the "
+            f"throughput {report['rps']:.1f} req/s is below the "
             f"{args.rps_floor:g} req/s floor"
         )
-    if args.max_error_rate is not None and gated["error_rate"] > args.max_error_rate:
+    if args.max_error_rate is not None and report["error_rate"] > args.max_error_rate:
         failures.append(
-            f"error rate {gated['error_rate']:.4f} exceeds the "
+            f"error rate {report['error_rate']:.4f} exceeds the "
             f"{args.max_error_rate:g} ceiling"
         )
     for failure in failures:

@@ -16,10 +16,11 @@ into that service:
 * :mod:`repro.service.engine` — bounded queue, process-pool workers,
   in-flight deduplication, per-job timeouts, crash recovery, drain;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  socket daemon behind ``repro serve`` and the client behind
+  asyncio socket daemon behind ``repro serve`` and the client behind
   ``repro client``;
-* :mod:`repro.service.bench` — the ``repro bench service`` trace
-  replay (throughput, latency percentiles, cache hit rate).
+* :mod:`repro.service.loadgen` — the ``repro bench service`` load
+  generator (deterministic request mixes; throughput, per-request
+  latency percentiles, cache economics).
 
 Everything is stdlib-only: no web framework, no serialization
 dependency.
@@ -41,11 +42,9 @@ __version__ = "1.1"
 
 # Imported after __version__ is bound: server.py reads it back from here.
 from .server import ServiceServer, format_address, parse_address  # noqa: E402
-from .threaded import ThreadedServiceServer  # noqa: E402
 
 __all__ = [
     "ServiceServer",
-    "ThreadedServiceServer",
     "parse_address",
     "format_address",
     "RemoteTier",

@@ -35,6 +35,7 @@ import json
 import multiprocessing
 import os
 import queue as queue_mod
+import select
 import signal
 import threading
 import time
@@ -66,12 +67,37 @@ _BATCH_RETRY_SLEEP_S = 0.05
 
 _START_QUEUE = None
 
+#: Where pidfds are missing, how often a pool worker checks its parent.
+_ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    # A SIGKILLed server never shuts its pool down, and an idle worker
+    # blocks on a call-queue pipe whose write end it holds itself, so
+    # it would wait forever.  The server's pidfd turns readable when it
+    # dies: this thread sleeps in poll() until then and never contends
+    # with the worker's jobs.  Without pidfds, watch for reparenting.
+    try:
+        poller = select.poll()
+        poller.register(os.pidfd_open(parent_pid), select.POLLIN)
+        poller.poll()
+    except ProcessLookupError:  # the server was gone before the watch began
+        pass
+    except (AttributeError, OSError):
+        while os.getppid() == parent_pid:
+            time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
 
 def _worker_init(start_queue) -> None:
     global _START_QUEUE
     _START_QUEUE = start_queue
     # Workers must not steal the server's shutdown signals.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),),
+        name="worker-orphan-watch", daemon=True,
+    ).start()
 
 
 def _run_job(job_id: int, method: str, params: dict) -> dict:

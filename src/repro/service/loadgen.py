@@ -1,15 +1,19 @@
-"""Fleet load generator for the synthesis service.
+"""Load generator for the synthesis service.
 
-``repro bench service --load MIX`` drives one or more service nodes
-with a deterministic, realistic request mix over hundreds of
-concurrent pipelined connections and reports throughput, latency
-percentiles, error rate and cache-hit economics.  It is how the async
-front's headline number (cached-traffic RPS at 256 connections, vs the
-threaded front) is measured, and what the ``service-load-smoke`` CI
-job replays in miniature.
+``repro bench service`` drives one or more service nodes with a
+deterministic request mix over concurrent pipelined connections and
+reports throughput, per-request latency percentiles, error rate and
+cache-hit economics.  The ``service-load-smoke`` CI job runs the
+``cached`` mix in miniature.
 
 Mixes (all deterministic given ``seed``):
 
+``trace`` (the ``repro bench service`` default)
+    Distinct small-expression ``synth`` requests in order of first use,
+    half of all requests repeats drawn from the requests before them,
+    no warm-up; dealt round-robin over the connections.  On one
+    connection at pipeline 1 every repeat is a cache hit and nothing
+    else is, so cache hits equal repeats exactly.
 ``cached``
     Every request drawn from a small pool of distinct ``synth``
     requests, pool warmed before the timed run — pure cache-hit
@@ -21,15 +25,18 @@ Mixes (all deterministic given ``seed``):
     Mostly cached ``validate`` requests over a handful of designs,
     with a minority of fresh faulted validations.
 ``fault-storm``
-    One design, a storm of ``validate`` requests with mostly-distinct
-    random fault maps (exercising the fault-map cache-key material) and
-    a cached minority of repeated common maps.
+    A storm of ``validate`` requests on one 196-cell design.  Three in
+    four carry a fresh random fault map (about 14 faults each, so two
+    maps practically never coincide and each is its own cache key);
+    the rest repeat one of three common maps.
 
 The generator is closed-loop and windowed: each connection keeps
 ``pipeline`` requests in flight (one write, ``pipeline`` reads), which
-is exactly how the campaign runner talks to the service.  Request ids
-are checked against the echoed response ids, so a front that drops or
-misorders frames shows up as errors, not silent corruption.
+is exactly how the campaign runner talks to the service.  A request's
+latency runs from its window's write to its own response line.
+Request ids are checked against the echoed response ids, so a front
+that drops or misorders frames shows up as errors, not silent
+corruption.
 
 Multi-node runs start ``node_count`` in-process servers sharing one
 :class:`~repro.service.remote.InMemoryRemoteTier` and split the
@@ -44,22 +51,48 @@ import random
 import time
 
 from ..perf import counters
-from .bench import _percentile, _random_expr
 from .protocol import ProtocolError, decode_response, encode, make_request
 
 __all__ = [
     "MIXES",
     "build_mix",
-    "compare_fronts",
     "render_load_table",
     "run_load",
 ]
 
-MIXES = ("cached", "synth-heavy", "validate-heavy", "fault-storm")
+MIXES = ("trace", "cached", "synth-heavy", "validate-heavy", "fault-storm")
 
 #: Synthesis knobs for requests and for the designs the validate mixes
 #: are built on: small expressions, no solver escalation surprises.
 _SYNTH_KNOBS = {"gamma": 0.5, "validate": True}
+
+_VARS = ("a", "b", "c", "d", "e")
+#: How many distinct strings :func:`_random_expr` can produce: ordered
+#: choices of 3 of the 5 variables, each maybe negated, and two operators.
+_EXPR_SPACE = 5 * 4 * 3 * 2**3 * 2**2
+
+#: The fault-storm design: an 8-input sum of products whose crossbar is
+#: 14x14, so each random fault map has 196 cells to land on.
+_STORM_EXPR = "(a & h & ~g) | (e & c & h) | (~g & ~f & d) | (f & ~e & ~d)"
+
+#: Result-cache capacity of each in-process node.
+_NODE_CACHE_SIZE = 4096
+
+
+def _random_expr(rng: random.Random) -> str:
+    """A small deterministic boolean expression (3 literals, 5 vars)."""
+    literals = []
+    for var in rng.sample(_VARS, 3):
+        literals.append(var if rng.random() < 0.7 else f"~{var}")
+    op1, op2 = (rng.choice(("&", "|")) for _ in range(2))
+    return f"({literals[0]} {op1} {literals[1]}) {op2} {literals[2]}"
+
+
+def _percentile(sorted_values: list[float], q: float) -> float:
+    if not sorted_values:
+        return 0.0
+    index = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
+    return sorted_values[index]
 
 
 def _conn_rng(seed: int, mix: str, conn: int) -> random.Random:
@@ -119,7 +152,24 @@ def build_mix(
     warmup: list[dict]
     schedules: list[list[dict]] = []
 
-    if mix == "cached":
+    if mix == "trace":
+        total = connections * requests_per_conn
+        distinct = max(1, round(total / 2))
+        if distinct > _EXPR_SPACE:
+            raise ValueError(
+                f"the trace mix needs {distinct} distinct expressions but only "
+                f"{_EXPR_SPACE} exist; ask for at most {2 * _EXPR_SPACE} requests"
+            )
+        trace = [_synth_request(expr) for expr in _distinct_exprs(rng, distinct)]
+        for _ in range(total - distinct):
+            # A repeat is drawn from the requests before its slot, so it
+            # always lands after its request's first use.
+            position = rng.randrange(1, len(trace) + 1)
+            trace.insert(position, rng.choice(trace[:position]))
+        warmup = []
+        schedules = [trace[conn::connections] for conn in range(connections)]
+
+    elif mix == "cached":
         pool = [_synth_request(expr) for expr in _distinct_exprs(rng, 8)]
         warmup = list(pool)
         for conn in range(connections):
@@ -175,36 +225,26 @@ def build_mix(
             schedules.append(schedule)
 
     else:  # fault-storm
-        expr = _distinct_exprs(rng, 1)[0]
-        design_json, rows, cols = _build_design(expr)
-        common = [
-            {
+        design_json, rows, cols = _build_design(_STORM_EXPR)
+
+        def _faulted(map_seed: int) -> dict:
+            return {
                 "method": "validate",
                 "params": {
-                    "expr": expr, "design_json": design_json,
-                    "fault_map": _fault_map_json(rows, cols, seed=1_000_000 + k),
+                    "expr": _STORM_EXPR, "design_json": design_json,
+                    "fault_map": _fault_map_json(rows, cols, seed=map_seed),
                 },
             }
-            for k in range(3)
-        ]
+
+        common = [_faulted(1_000_000 + k) for k in range(3)]
         warmup = list(common)
         for conn in range(connections):
             crng = _conn_rng(seed, mix, conn)
-            schedule = []
-            for i in range(requests_per_conn):
-                if crng.random() < 0.25:
-                    schedule.append(common[crng.randrange(len(common))])
-                else:
-                    schedule.append({
-                        "method": "validate",
-                        "params": {
-                            "expr": expr, "design_json": design_json,
-                            "fault_map": _fault_map_json(
-                                rows, cols, seed=conn * 100_000 + i
-                            ),
-                        },
-                    })
-            schedules.append(schedule)
+            schedules.append([
+                common[crng.randrange(len(common))] if crng.random() < 0.25
+                else _faulted(conn * 100_000 + i)
+                for i in range(requests_per_conn)
+            ])
 
     return {"mix": mix, "warmup": warmup, "schedules": schedules}
 
@@ -245,6 +285,7 @@ async def _drive_connection(spec, schedule: list[dict], pipeline: int) -> list[d
                 line = await reader.readline()
                 if not line:
                     raise ConnectionError("server closed the connection")
+                latency_s = time.monotonic() - t0
                 frame = decode_response(line)
                 ok = bool(frame.get("ok")) and frame.get("id") == rid
                 records.append({
@@ -252,13 +293,10 @@ async def _drive_connection(spec, schedule: list[dict], pipeline: int) -> list[d
                     "cached": bool(frame.get("cached", False)),
                     "deduped": bool(frame.get("deduped", False)),
                     "code": None if frame.get("ok") else frame["error"]["code"],
-                    "latency_s": 0.0,  # stamped below, amortized per window
+                    "latency_s": latency_s,
                 })
                 if frame.get("ok") and frame.get("id") != rid:
                     records[-1]["code"] = "misordered"
-            window_s = (time.monotonic() - t0) / len(window)
-            for record in records[-len(window):]:
-                record["latency_s"] = window_s
     except (OSError, ConnectionError, ProtocolError, asyncio.IncompleteReadError):
         while len(records) < len(schedule):
             records.append({
@@ -304,41 +342,34 @@ def run_load(
     requests_per_conn: int = 50,
     pipeline: int = 8,
     node_count: int = 1,
-    front: str = "async",
     jobs: int | None = None,
     seed: int = 0,
-    warmup: bool = True,
     connects: list | None = None,
-    cache_size: int = 4096,
 ) -> dict:
     """Generate load against the service and measure it; returns a report.
 
     Without ``connects`` an in-process fleet of ``node_count`` servers
-    (``front`` = ``"async"`` or ``"threaded"``) is started on ephemeral
-    TCP ports for the duration of the run; multi-node fleets share one
-    in-memory remote tier.  With ``connects`` (a list of
-    :func:`~repro.service.server.parse_address` specs) the load is
-    driven at running servers instead.
+    is started on ephemeral TCP ports for the duration of the run;
+    multi-node fleets share one in-memory remote tier.  Each node admits
+    every frame the generator can have in flight, so a run measures the
+    front and the engine rather than admission control.  With
+    ``connects`` (a list of :func:`~repro.service.server.parse_address`
+    specs) the load is driven at running servers instead.
     """
     load = build_mix(mix, connections, requests_per_conn, seed=seed)
 
     servers = []
     if connects is None:
         from .remote import InMemoryRemoteTier
+        from .server import ServiceServer
 
-        if front == "async":
-            from .server import ServiceServer as server_cls
-        elif front == "threaded":
-            from .threaded import ThreadedServiceServer as server_cls
-        else:
-            raise ValueError(f"unknown front {front!r} (async|threaded)")
         remote = InMemoryRemoteTier() if node_count > 1 else None
         for _ in range(max(1, node_count)):
-            server = server_cls(
+            server = ServiceServer(
                 ("tcp", "127.0.0.1", 0),
                 jobs=jobs,
-                queue_size=256,
-                cache_size=cache_size,
+                queue_size=connections * pipeline,
+                cache_size=_NODE_CACHE_SIZE,
                 remote_tier=remote,
             )
             server.start()
@@ -346,7 +377,7 @@ def run_load(
         connects = [server.address for server in servers]
 
     try:
-        if warmup and load["warmup"]:
+        if load["warmup"]:
             asyncio.run(_warm(connects, load["warmup"]))
         before = counters.snapshot()
         t0 = time.monotonic()
@@ -362,13 +393,19 @@ def run_load(
     cached = sum(1 for r in records if r["cached"])
     deduped = sum(1 for r in records if r["deduped"])
     total = len(records)
+    distinct = len({
+        json.dumps(entry, sort_keys=True)
+        for schedule in load["schedules"] for entry in schedule
+    })
     return {
         "mix": mix,
-        "front": front,
+        "front": "async",
         "nodes": len(connects),
         "connections": connections,
         "pipeline": pipeline,
         "requests": total,
+        "distinct": distinct,
+        "repeats": total - distinct,
         "wall_time_s": round(wall, 6),
         "rps": round(total / wall, 3) if wall > 0 else 0.0,
         "ok": ok,
@@ -388,52 +425,19 @@ def run_load(
     }
 
 
-def compare_fronts(
-    mix: str = "cached",
-    connections: int = 256,
-    requests_per_conn: int = 50,
-    pipeline: int = 8,
-    jobs: int | None = None,
-    seed: int = 0,
-) -> dict:
-    """Same load against the threaded and async fronts; reports the speedup.
-
-    This is the acceptance measurement: cached-traffic RPS of the async
-    front over the thread-per-connection front at high connection
-    counts.
-    """
-    threaded = run_load(
-        mix=mix, connections=connections, requests_per_conn=requests_per_conn,
-        pipeline=pipeline, front="threaded", jobs=jobs, seed=seed,
-    )
-    async_report = run_load(
-        mix=mix, connections=connections, requests_per_conn=requests_per_conn,
-        pipeline=pipeline, front="async", jobs=jobs, seed=seed,
-    )
-    speedup = (
-        async_report["rps"] / threaded["rps"] if threaded["rps"] > 0 else float("inf")
-    )
-    return {
-        "mix": mix,
-        "connections": connections,
-        "threaded": threaded,
-        "async": async_report,
-        "speedup_rps": round(speedup, 3),
-    }
-
-
 def render_load_table(payload: dict):
     """Human-readable summary of a :func:`run_load` payload."""
     from ..bench.tables import Table
 
     table = Table(
-        f"Service load: {payload['mix']} mix, {payload['front']} front "
+        f"Service load: {payload['mix']} mix "
         f"({payload['connections']} connections x {payload['nodes']} node(s))",
         ["metric", "value"],
     )
     latency = payload["latency_ms"]
     rows = [
         ("requests ok / errors", f"{payload['ok']} / {payload['errors']}"),
+        ("distinct / repeats", f"{payload['distinct']} / {payload['repeats']}"),
         ("throughput", f"{payload['rps']:.1f} req/s"),
         ("error rate", f"{100 * payload['error_rate']:.2f}%"),
         ("cache hits", f"{payload['cache_hits']} ({100 * payload['hit_rate']:.1f}%)"),
@@ -447,12 +451,3 @@ def render_load_table(payload: dict):
     for name, value in rows:
         table.add_row(name, value)
     return table
-
-
-def _json_default(value):  # pragma: no cover - defensive
-    return str(value)
-
-
-def dump_report(payload: dict) -> str:
-    """Stable JSON rendering of a load report."""
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)

@@ -1,14 +1,12 @@
 """Persistent synthesis server: NDJSON over a Unix or TCP socket.
 
-The default front (:class:`ServiceServer`) is an **asyncio socket
-server**: one event-loop thread multiplexes thousands of concurrent
-connections, answering protocol errors, ``ping``/``stats`` and —
-crucially — *cached* requests inline, and handing everything else to
-the :class:`~repro.service.engine.Engine` through a small dispatch
-thread pool (which is where caching, deduplication, timeouts and crash
-recovery live).  The classic one-thread-per-connection front survives
-as :class:`repro.service.threaded.ThreadedServiceServer`; both speak
-the identical wire protocol and produce byte-identical frames.
+:class:`ServiceServer` is an **asyncio socket server**: one event-loop
+thread multiplexes thousands of concurrent connections, answering
+protocol errors, ``ping``/``stats`` and — crucially — *cached*
+requests inline, and handing everything else to the
+:class:`~repro.service.engine.Engine` through a small dispatch thread
+pool (which is where caching, deduplication, timeouts and crash
+recovery live).
 
 Fast path anatomy (what makes cached traffic ~10k+ RPS on one box):
 
@@ -60,7 +58,6 @@ from .protocol import (
 
 __all__ = [
     "ServiceServer",
-    "ServiceServerBase",
     "fast_ok_frame",
     "format_address",
     "parse_address",
@@ -73,6 +70,9 @@ _READ_CHUNK = 1 << 16
 _MAX_BATCH_FRAMES = 256
 #: Poll period for bounded future waits (drain/lost-future detection).
 _WAIT_TICK_S = 0.25
+#: Threads that run engine admission (which may canonicalise = parse
+#: circuits) and blocking batch submission off the event loop.
+_IO_WORKERS = 8
 
 
 def parse_address(socket_path: str | None, tcp: str | None):
@@ -142,8 +142,8 @@ def _error_payload(code: str, message: str) -> dict:
     return {"ok": False, "error": {"code": code, "message": message}}
 
 
-class ServiceServerBase:
-    """Configuration, engine/cache wiring and dispatch shared by both fronts.
+class ServiceServer:
+    """The asyncio front: one loop thread, thousands of connections.
 
     Parameters mirror ``repro serve``: ``address`` comes from
     :func:`parse_address`; ``jobs``/``queue_size``/``job_timeout``
@@ -152,8 +152,6 @@ class ServiceServerBase:
     ``remote_tier`` plugs a shared fleet tier
     (:mod:`repro.service.remote`) behind the local cache.
     """
-
-    front = "base"
 
     def __init__(
         self,
@@ -184,174 +182,13 @@ class ServiceServerBase:
         self._draining = False
         self._drain_deadline: float | None = None
         self._started_at = time.monotonic()
-
-    # -- lifecycle hooks (front-specific) ----------------------------------------
-    def start(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def stop(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def connection_count(self) -> int:
-        return 0
-
-    # -- shared lifecycle --------------------------------------------------------
-    def serve_until_signal(self) -> None:
-        """Block the (already started) server until SIGTERM or SIGINT."""
-        stop_event = threading.Event()
-
-        def _on_signal(signum, _frame):  # pragma: no cover - signal path
-            stop_event.set()
-
-        previous = {
-            sig: signal.signal(sig, _on_signal)
-            for sig in (signal.SIGTERM, signal.SIGINT)
-        }
-        try:
-            stop_event.wait()
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
-
-    def serve_forever(self) -> None:
-        """Blocking entry point: start, run until SIGTERM/SIGINT, drain."""
-        self.start()
-        try:
-            self.serve_until_signal()
-        finally:
-            self.stop()
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _begin_drain(self) -> None:
-        self._draining = True
-        if self._drain_deadline is None:
-            # Small grace on top of the engine's drain budget: the
-            # engine resolves stragglers at the deadline, connection
-            # handlers just need to observe that and answer.
-            self._drain_deadline = time.monotonic() + self._drain_timeout + 2.0
-
-    def _unlink_unix_socket(self) -> None:
-        if self._address_spec[0] == "unix":
-            try:
-                Path(self._address_spec[1]).unlink()
-            except OSError:  # check: allow C003
-                pass
-
-    # -- introspection -----------------------------------------------------------
-    @property
-    def address(self):
-        """The bound address (TCP port resolved after :meth:`start`)."""
-        if self._address_spec[0] == "unix":
-            return self._address_spec
-        bound = self._bound_tcp_address()
-        if bound is not None:
-            return ("tcp", bound[0], bound[1])
-        return self._address_spec
-
-    def _bound_tcp_address(self):  # pragma: no cover - overridden
-        return None
-
-    def describe_address(self) -> str:
-        return format_address(self.address)
-
-    def stats(self) -> dict:
-        return {
-            "server": {
-                "version": _service_version,
-                "address": self.describe_address(),
-                "transport": self.address[0],
-                "front": self.front,
-                "connections": self.connection_count(),
-                "uptime_s": round(time.monotonic() - self._started_at, 3),
-                "draining": self._draining,
-            },
-            "engine": self.engine.stats(),
-        }
-
-    # -- dispatch helpers shared by both fronts ----------------------------------
-    def _inline_response(self, request: dict, t0: float) -> dict | None:
-        """Answer ``ping``/``stats``/draining without touching the engine."""
-        request_id, method = request["id"], request["method"]
-        if method == "ping":
-            return ok_response(
-                request_id, {"pong": True}, elapsed_s=time.monotonic() - t0
-            )
-        if method == "stats":
-            return ok_response(request_id, self.stats(), elapsed_s=time.monotonic() - t0)
-        if self._draining:
-            return error_response(request_id, "draining", _DRAINING_MESSAGE)
-        return None
-
-    def _bound_payload_wait(self, future) -> dict:
-        """``future.result()`` that can never pin a connection forever.
-
-        Bounded by the job timeout plus the drain deadline: the old
-        front's unbounded ``result()`` hung its connection thread when
-        a future was lost (and during shutdown the hung thread held a
-        connection open past the drain).  The engine's drain resolves
-        every future it knows about; this is the belt-and-braces bound
-        for the ones it does not.
-        """
-        job_deadline = None
-        if self.engine.job_timeout is not None:
-            job_deadline = (
-                time.monotonic() + self.engine.job_timeout + self._drain_timeout + 5.0
-            )
-        while True:
-            try:
-                return future.result(timeout=_WAIT_TICK_S)
-            except concurrent.futures.TimeoutError:
-                now = time.monotonic()
-                if self._drain_deadline is not None and now >= self._drain_deadline:
-                    return _error_payload(
-                        "draining", "server shut down before this job finished"
-                    )
-                if job_deadline is not None and now >= job_deadline:
-                    return _error_payload(
-                        "timeout",
-                        "job result was not produced within the job timeout "
-                        "plus drain budget",
-                    )
-            except Exception as exc:  # noqa: BLE001 — a future must never tear a connection
-                return _error_payload("internal", f"{type(exc).__name__}: {exc}")
-
-    def _payload_response(self, request_id, payload: dict, info: dict, t0: float) -> dict:
-        if payload.get("ok"):
-            return ok_response(
-                request_id,
-                payload["result"],
-                cached=info["cached"],
-                deduped=info["deduped"],
-                elapsed_s=time.monotonic() - t0,
-            )
-        error = payload["error"]
-        return error_response(
-            request_id, error["code"], error["message"], error.get("details")
-        )
-
-
-class ServiceServer(ServiceServerBase):
-    """The asyncio front: one loop thread, thousands of connections."""
-
-    front = "async"
-
-    def __init__(self, *args, io_workers: int = 8, **kwargs):
-        super().__init__(*args, **kwargs)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._connections = 0
-        # Engine admission (which may canonicalise = parse circuits) and
-        # blocking batch submission run here, off the event loop.
         self._dispatch = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(2, io_workers), thread_name_prefix="service-dispatch"
+            max_workers=_IO_WORKERS, thread_name_prefix="service-dispatch"
         )
 
     # -- lifecycle ---------------------------------------------------------------
@@ -402,6 +239,46 @@ class ServiceServer(ServiceServerBase):
                 reuse_address=True, backlog=1024,
             )
 
+    def serve_until_signal(self) -> None:
+        """Block the (already started) server until SIGTERM or SIGINT."""
+        stop_event = threading.Event()
+
+        def _on_signal(signum, _frame):  # pragma: no cover - signal path
+            stop_event.set()
+
+        previous = {
+            sig: signal.signal(sig, _on_signal)
+            for sig in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            stop_event.wait()
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+
+    def serve_forever(self) -> None:
+        """Blocking entry point: start, run until SIGTERM/SIGINT, drain."""
+        self.start()
+        try:
+            self.serve_until_signal()
+        finally:
+            self.stop()
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _begin_drain(self) -> None:
+        self._draining = True
+        if self._drain_deadline is None:
+            # Small grace on top of the engine's drain budget: the
+            # engine resolves stragglers at the deadline, connection
+            # handlers just need to observe that and answer.
+            self._drain_deadline = time.monotonic() + self._drain_timeout + 2.0
+
     def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain, release everything."""
         if self._loop is None:
@@ -424,7 +301,11 @@ class ServiceServer(ServiceServerBase):
         self._loop_thread = None
         self._asyncio_server = None
         self._dispatch.shutdown(wait=False, cancel_futures=True)
-        self._unlink_unix_socket()
+        if self._address_spec[0] == "unix":
+            try:
+                Path(self._address_spec[1]).unlink()
+            except OSError:  # check: allow C003
+                pass
 
     async def _close_listener(self) -> None:
         self._begin_drain()
@@ -445,15 +326,31 @@ class ServiceServer(ServiceServerBase):
         self._conn_tasks.clear()
 
     # -- introspection -----------------------------------------------------------
-    def _bound_tcp_address(self):
+    @property
+    def address(self):
+        """The bound address (TCP port resolved after :meth:`start`)."""
         server = self._asyncio_server
-        if server is None or not server.sockets:
-            return None
-        name = server.sockets[0].getsockname()
-        return name[0], name[1]
+        if self._address_spec[0] == "tcp" and server is not None and server.sockets:
+            host, port = server.sockets[0].getsockname()[:2]
+            return ("tcp", host, port)
+        return self._address_spec
 
-    def connection_count(self) -> int:
-        return self._connections
+    def describe_address(self) -> str:
+        return format_address(self.address)
+
+    def stats(self) -> dict:
+        return {
+            "server": {
+                "version": _service_version,
+                "address": self.describe_address(),
+                "transport": self.address[0],
+                "front": "async",
+                "connections": self._connections,
+                "uptime_s": round(time.monotonic() - self._started_at, 3),
+                "draining": self._draining,
+            },
+            "engine": self.engine.stats(),
+        }
 
     # -- connection handling -----------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -509,6 +406,19 @@ class ServiceServer(ServiceServerBase):
             if line:
                 lines.append(line)
         return lines
+
+    def _inline_response(self, request: dict, t0: float) -> dict | None:
+        """Answer ``ping``/``stats``/draining without touching the engine."""
+        request_id, method = request["id"], request["method"]
+        if method == "ping":
+            return ok_response(
+                request_id, {"pong": True}, elapsed_s=time.monotonic() - t0
+            )
+        if method == "stats":
+            return ok_response(request_id, self.stats(), elapsed_s=time.monotonic() - t0)
+        if self._draining:
+            return error_response(request_id, "draining", _DRAINING_MESSAGE)
+        return None
 
     async def _process_frames(self, lines: list[bytes]) -> list[bytes]:
         """Turn one batch of frames into one ordered batch of responses.
@@ -580,10 +490,25 @@ class ServiceServer(ServiceServerBase):
         except RuntimeError:  # dispatch pool shut down mid-flight
             return encode(error_response(request["id"], "draining", _DRAINING_MESSAGE))
         payload = await self._bounded_await(future)
-        return encode(self._payload_response(request["id"], payload, info, t0))
+        if not payload.get("ok"):
+            error = payload["error"]
+            return encode(error_response(
+                request["id"], error["code"], error["message"], error.get("details")
+            ))
+        return encode(ok_response(
+            request["id"], payload["result"], cached=info["cached"],
+            deduped=info["deduped"], elapsed_s=time.monotonic() - t0,
+        ))
 
     async def _bounded_await(self, future) -> dict:
-        """Async twin of :meth:`ServiceServerBase._bound_payload_wait`."""
+        """Await a job future without ever pinning the connection forever.
+
+        Bounded by the job timeout plus the drain deadline: the engine's
+        drain resolves every future it knows about, and this bound
+        covers a lost future the engine does not, answering a
+        structured ``timeout`` (or ``draining`` once shutdown passed
+        its deadline) on a connection that stays usable.
+        """
         wrapped = asyncio.wrap_future(future)
         job_deadline = None
         if self.engine.job_timeout is not None:

@@ -1,4 +1,6 @@
-"""Acceptance: SIGKILL a campaign halfway, resume, bit-identical report."""
+"""Acceptance: SIGKILL a campaign halfway, resume, bit-identical report;
+the killed server's pool workers exit on their own.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import pytest
 
 from repro.campaign.runner import CampaignConfig, run_campaign
 from repro.service import RetryPolicy, ServiceClient
+from repro.service.engine import _pid_alive
 from repro.service.server import ServiceServer
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
@@ -45,6 +48,21 @@ print("DONE")
 """
 
 
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # the process exited meanwhile
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            children.append(int(entry.name))
+    return children
+
+
 def _config() -> CampaignConfig:
     return CampaignConfig.from_suite(
         "c17", samples=300, shard_size=5, p_stuck_on=0.01, p_stuck_off=0.05
@@ -67,6 +85,7 @@ def test_sigkill_halfway_then_resume_matches_uninterrupted(tmp_path):
             time.sleep(0.01)
         else:
             pytest.fail("campaign child never journalled its first shards")
+        workers = _children(child.pid)
         child.send_signal(signal.SIGKILL)
         child.wait(timeout=30)
     finally:
@@ -74,6 +93,16 @@ def test_sigkill_halfway_then_resume_matches_uninterrupted(tmp_path):
             child.kill()
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
+
+    # The child's pool workers notice they were orphaned and exit.
+    assert workers, "the campaign child never started pool workers"
+    deadline = time.monotonic() + 10.0
+    while any(map(_pid_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    orphans = [pid for pid in workers if _pid_alive(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans, f"pool workers {orphans} outlived their SIGKILLed server"
 
     with ServiceServer(("tcp", "127.0.0.1", 0), jobs=2) as server:
         _kind, host, port = server.address

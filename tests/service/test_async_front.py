@@ -1,9 +1,11 @@
 """The asyncio socket front: pipelining, ordering, exact counters,
-drain-under-storm semantics, and byte-identity with the threaded front.
+drain-under-storm semantics, the bounded wait on lost job futures, and
+byte-identity with direct execution.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import re
 import socket
@@ -13,10 +15,10 @@ import time
 import pytest
 
 from repro.perf import counters
-from repro.service.bench import build_trace
+from repro.service.jobs import execute
+from repro.service.loadgen import build_mix
 from repro.service.protocol import encode, make_request, ok_response
 from repro.service.server import ServiceServer, fast_ok_frame
-from repro.service.threaded import ThreadedServiceServer
 
 SYNTH = {"expr": "(a & b) | ~c", "gamma": 0.5, "validate": True}
 
@@ -178,50 +180,56 @@ def test_frames_after_drain_get_structured_draining_errors():
         server.stop()
 
 
-def _replay_raw(server_cls, trace: list[dict]) -> list[bytes]:
-    """Replay a trace sequentially over one raw socket; returns frames."""
-    server = server_cls(("tcp", "127.0.0.1", 0), jobs=2, queue_size=16)
-    server.start()
-    try:
-        sock, reader = _raw_conn(server)
-        frames = []
-        for i, entry in enumerate(trace):
-            sock.sendall(encode(make_request(entry["method"], entry["params"],
-                                             request_id=i)))
-            frames.append(reader.readline())
-        sock.close()
-        return frames
-    finally:
-        server.stop()
-
-
-def test_async_front_is_byte_identical_to_threaded_front():
-    """Acceptance: the two fronts produce byte-identical responses on the
-    trace-replay suite (modulo the measured ``elapsed_s``)."""
-    trace = build_trace(requests=30, repeat_rate=0.5, seed=3)
-    threaded = _replay_raw(ThreadedServiceServer, trace)
-    async_frames = _replay_raw(ServiceServer, trace)
-    assert len(threaded) == len(async_frames) == len(trace)
-    # elapsed_s and synth_time_s are measured wall times; everything
-    # else must match byte for byte.
-    scrub = re.compile(rb'"(elapsed_s|synth_time_s)":[0-9eE.+-]+')
-    for i, (a, b) in enumerate(zip(threaded, async_frames)):
-        assert scrub.sub(b'"elapsed_s":0', a) == scrub.sub(b'"elapsed_s":0', b), (
-            f"frame {i} differs between fronts"
+def test_lost_job_future_times_out_on_a_live_connection():
+    """A job future that never resolves is answered with a structured
+    ``timeout`` once job_timeout + drain_timeout + slack pass, and the
+    connection keeps serving."""
+    with ServiceServer(("tcp", "127.0.0.1", 0), jobs=1, job_timeout=0.1,
+                       drain_timeout=0.1) as server:
+        server.engine.submit = lambda method, params: (
+            concurrent.futures.Future(), {"cached": False, "deduped": False}
         )
-
-
-def test_threaded_front_shares_the_drain_and_bounded_wait_fixes():
-    with ThreadedServiceServer(("tcp", "127.0.0.1", 0), jobs=1) as server:
-        assert server.stats()["server"]["front"] == "threaded"
         sock, reader = _raw_conn(server)
-        sock.sendall(encode(make_request("ping", {}, request_id=1)))
-        assert json.loads(reader.readline())["ok"] is True
-        server._begin_drain()
-        sock.sendall(encode(make_request("synth", {"expr": "a"}, request_id=2)))
-        frame = json.loads(reader.readline())
-        assert frame["ok"] is False and frame["error"]["code"] == "draining"
-        sock.close()
+        try:
+            sock.sendall(encode(make_request("synth", {"expr": "a & b"},
+                                             request_id=1)))
+            frame = json.loads(reader.readline())
+            assert frame["ok"] is False and frame["id"] == 1
+            assert frame["error"]["code"] == "timeout"
+            sock.sendall(encode(make_request("ping", {}, request_id=2)))
+            frame = json.loads(reader.readline())
+            assert frame["ok"] is True and frame["result"] == {"pong": True}
+        finally:
+            reader.close()
+            sock.close()
+
+
+def test_trace_frames_are_byte_identical_to_direct_execution():
+    """Acceptance: replaying the ``trace`` mix one request at a time, each
+    frame is ``encode(ok_response(...))`` of the job run in this process,
+    marked cached exactly on repeats (modulo the measured times)."""
+    trace = build_mix("trace", connections=1, requests_per_conn=30,
+                      seed=3)["schedules"][0]
+    scrub = re.compile(rb'"(elapsed_s|synth_time_s)":[0-9eE.+-]+')
+    seen: set[str] = set()
+    with ServiceServer(("tcp", "127.0.0.1", 0), jobs=2, queue_size=16) as server:
+        sock, reader = _raw_conn(server)
+        try:
+            for i, entry in enumerate(trace):
+                method, params = entry["method"], entry["params"]
+                sock.sendall(encode(make_request(method, params, request_id=i)))
+                frame = reader.readline()
+                blob = json.dumps(entry, sort_keys=True)
+                expected = encode(ok_response(
+                    i, execute(method, params)["result"], cached=blob in seen
+                ))
+                seen.add(blob)
+                got, want = (scrub.sub(rb'"\1":0', f) for f in (frame, expected))
+                assert got == want, f"frame {i} differs from direct execution"
+        finally:
+            reader.close()
+            sock.close()
+    assert len(seen) == 15
 
 
 def test_oversized_frame_is_rejected_with_protocol_error(server):

@@ -166,7 +166,3 @@ def test_bench_rejects_unknown_experiment():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "not-an-experiment"])
     assert excinfo.value.code == 2
-
-
-def test_bench_service_rejects_missing_trace(capsys):
-    assert _exit_code(["bench", "service", "--trace", "/nonexistent.json"]) == 2
