@@ -32,9 +32,11 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_perf_smoke.py -q
 
-# Regenerate the committed perf trajectory point.
+# Regenerate the committed perf trajectory point. One worker: labeling
+# budgets are wall-clock, and parallel workers slow each other's solves
+# enough to cut some of them short (cavlc_like, mult4).
 bench-baseline:
-	$(PYTHON) -m repro bench perf --jobs $(JOBS) --layer-sweep 1,2,3 \
+	$(PYTHON) -m repro bench perf --jobs 1 --layer-sweep 1,2,3 \
 	  --perf-json BENCH_compact.json
 
 # Chaos-ridden yield campaign: kill workers, drop connections, corrupt

@@ -1,15 +1,19 @@
-"""Perf smoke benchmark: in-place sifting vs the rebuild baseline.
-
-Backs the PR's acceptance criteria:
+"""Perf smoke benchmark: in-place sifting vs the rebuild oracle, and
+guards on the committed ``BENCH_compact.json`` baseline.
 
 * in-place :func:`repro.bdd.ordering.sift_order` reaches an SBDD size
-  no larger than the rebuild-based sifter on *every* suite circuit,
-  with **zero** SBDD rebuilds during the position scan (verified by
-  the ``sbdd_rebuilds`` counter);
+  no larger than the rebuild-based sifter (:func:`sift_order_rebuild`,
+  kept here as the oracle) on *every* suite circuit, with **zero** SBDD
+  rebuilds during the position scan (verified by the ``sbdd_rebuilds``
+  counter);
 * end-to-end ``sift_order`` wall time on the largest suite circuit
   improves by at least 5x over the rebuild sifter;
-* the perf harness payload (and the committed ``BENCH_compact.json``
-  baseline, when present) validates against the schema.
+* the perf harness payload and the committed baseline validate against
+  the schema;
+* the committed baseline is self-consistent (its layer sweep's K=1
+  column is its headline) and reproducible (re-running small circuits
+  gives the committed S, D and ``optimal``), and stage times stay
+  within 3x of it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bdd import build_sbdd, sift_order, sift_order_rebuild, static_order
+from repro.bdd import build_sbdd, sift_order, static_order
 from repro.bdd.ordering import sbdd_size_for_order
 from repro.bench.suites import circuit, suite
 from repro.perf import counters, validate_bench_payload
@@ -30,6 +34,45 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FAST_NAMES = [b.name for b in suite("fast")]
 #: Largest fast-suite circuit by input count — the speedup headliner.
 LARGEST = "priority32"
+
+
+def sift_order_rebuild(netlist, start=None, max_rounds=1):
+    """Rebuild-based greedy sifting: the oracle for the in-place sifter.
+
+    Rebuilds the shared BDD for every candidate position, so the cost is
+    ``O(rounds * n_vars^2)`` BDD constructions — exact and simple.  The
+    in-place sifter replicates this greedy trajectory (same visiting
+    order, ascending position scan, earliest strictly-smaller tie-break).
+    """
+    order = list(start) if start is not None else static_order(netlist)
+    best_size = sbdd_size_for_order(netlist, order)
+    for _ in range(max_rounds):
+        improved = False
+        for name in list(order):
+            base = order.index(name)
+            best_pos, best_here = base, best_size
+            without = order[:base] + order[base + 1 :]
+            for pos in range(len(order)):
+                if pos == base:
+                    continue
+                candidate = without[:pos] + [name] + without[pos:]
+                size = sbdd_size_for_order(netlist, candidate)
+                if size < best_here:
+                    best_here, best_pos = size, pos
+            if best_pos != base:
+                order = without[:best_pos] + [name] + without[best_pos:]
+                best_size = best_here
+                improved = True
+        if not improved:
+            break
+    return order
+
+
+def _committed_baseline() -> dict:
+    path = REPO_ROOT / "BENCH_compact.json"
+    if not path.exists():
+        pytest.skip("no committed BENCH_compact.json")
+    return json.loads(path.read_text())
 
 
 @pytest.mark.parametrize("name", FAST_NAMES)
@@ -85,7 +128,7 @@ def test_sift_speedup_on_largest_circuit(save_result):
 
 
 def test_rebuild_baseline_counts_every_candidate():
-    """The rebuild sifter really does pay one SBDD build per candidate
+    """The rebuild oracle really does pay one SBDD build per candidate
     position — the cost the in-place sifter eliminates."""
     netlist = circuit("c17")
     counters.reset()
@@ -112,10 +155,7 @@ def test_harness_payload_validates(save_result):
 def test_committed_baseline_validates():
     """BENCH_compact.json at the repo root is the persisted perf
     trajectory point; it must always match the schema."""
-    path = REPO_ROOT / "BENCH_compact.json"
-    if not path.exists():
-        pytest.skip("no committed BENCH_compact.json")
-    payload = json.loads(path.read_text())
+    payload = _committed_baseline()
     validate_bench_payload(payload)
     committed = {r["circuit"] for r in payload["circuits"]}
     assert committed <= {b.name for b in suite("full")}
@@ -126,10 +166,7 @@ def test_stage_times_vs_committed_baseline(save_result):
     each pipeline stage within a generous 3x of the committed
     ``BENCH_compact.json`` timer.  Stages under the 50 ms noise floor in
     the baseline are skipped — CI machines jitter far more than that."""
-    path = REPO_ROOT / "BENCH_compact.json"
-    if not path.exists():
-        pytest.skip("no committed BENCH_compact.json")
-    baseline = {r["circuit"]: r for r in json.loads(path.read_text())["circuits"]}
+    baseline = {r["circuit"]: r for r in _committed_baseline()["circuits"]}
     check = [n for n in ("c17", "parity16", "mult4") if n in baseline]
     if not check:
         pytest.skip("no overlap with the committed baseline")
@@ -155,6 +192,40 @@ def test_stage_times_vs_committed_baseline(save_result):
         f"regressions={len(regressions)}",
     )
     assert not regressions, "; ".join(regressions)
+
+
+def test_committed_sweep_k1_column_is_the_headline():
+    """Quality gate: the committed sweep's K=1 row of every circuit has
+    its headline row's footprint (both come from one pipeline)."""
+    payload = _committed_baseline()
+    headline = {r["circuit"]: r["crossbar"] for r in payload["circuits"]}
+    sweep = payload.get("layer_sweep")
+    if sweep is None or 1 not in sweep["layers"]:
+        pytest.skip("no K=1 layer sweep in the committed baseline")
+    mismatched = []
+    for entry in sweep["circuits"]:
+        (one,) = [r for r in entry["results"] if r["layers"] == 1]
+        want = headline[entry["circuit"]]
+        got = {k: one[k] for k in ("rows", "cols", "semiperimeter", "max_dimension")}
+        if got != {k: want[k] for k in got}:
+            mismatched.append(f"{entry['circuit']}: sweep {got} vs headline {want}")
+    assert not mismatched, "; ".join(mismatched)
+
+
+def test_small_circuits_reproduce_committed_quality():
+    """Quality gate: re-running c17 and parity16 at the committed budget
+    gives the committed S, D and ``optimal``."""
+    payload = _committed_baseline()
+    committed = {r["circuit"]: r for r in payload["circuits"]}
+    rerun = run_perf_suite(names=["c17", "parity16"], time_limit=payload["time_limit"])
+
+    def quality(record):
+        crossbar = record["crossbar"]
+        return crossbar["semiperimeter"], crossbar["max_dimension"], record["optimal"]
+
+    got = {r["circuit"]: quality(r) for r in rerun["circuits"]}
+    want = {name: quality(committed[name]) for name in got}
+    assert got == want
 
 
 def test_write_bench_json_rejects_invalid(tmp_path):

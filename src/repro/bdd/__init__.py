@@ -7,7 +7,6 @@ from .ordering import (
     interleaved_order,
     sbdd_size_for_order,
     sift_order,
-    sift_order_rebuild,
     static_order,
 )
 from .reorder import sift, sift_sbdd, swap_adjacent
@@ -31,7 +30,6 @@ __all__ = [
     "static_order",
     "interleaved_order",
     "sift_order",
-    "sift_order_rebuild",
     "sbdd_size_for_order",
     "sbdd_to_dot",
 ]

@@ -9,9 +9,6 @@ The paper builds its BDDs with ABC/CUDD defaults; here we provide:
   *once* and every candidate position is reached by an in-place
   adjacent-level swap (:mod:`repro.bdd.reorder`), so trying a position
   costs ``O(nodes at two levels)`` instead of a full reconstruction.
-* :func:`sift_order_rebuild` — the original rebuild-per-candidate
-  sifter, kept as the slow exact baseline the perf smoke benchmark
-  compares against (``O(rounds * n_vars^2)`` SBDD constructions).
 * :func:`interleaved_order` — round-robin interleaving of structured
   input buses (``a0 b0 a1 b1 ...``), the standard trick for adders and
   comparators.
@@ -24,7 +21,6 @@ how tests prove the in-place path does zero rebuilds per candidate.
 from __future__ import annotations
 
 import re
-import time
 from collections.abc import Sequence
 
 from ..circuits.netlist import Netlist
@@ -34,7 +30,6 @@ __all__ = [
     "static_order",
     "interleaved_order",
     "sift_order",
-    "sift_order_rebuild",
     "sbdd_size_for_order",
 ]
 
@@ -131,10 +126,11 @@ def sift_order(
     swaps on the live manager — each position costs ``O(nodes at the
     two swapped levels)`` rather than a full reconstruction, which is
     what makes sifting usable on the larger suite circuits.  By default
-    every position is examined (matching the greedy trajectory of
-    :func:`sift_order_rebuild`, so the result is never larger); setting
-    ``max_growth`` enables Rudell's blow-up abort, trading that
-    guarantee for speed.  Stops when ``time_budget`` seconds elapse.
+    every position is examined (matching the greedy trajectory of a
+    sifter that rebuilds the BDD per candidate, so the result is never
+    larger); setting ``max_growth`` enables Rudell's blow-up abort,
+    trading that guarantee for speed.  Stops when ``time_budget``
+    seconds elapse.
 
     ``stats`` (optional dict) receives the in-place sifter's
     ``initial_size``/``final_size``/``swaps``/``rounds``.
@@ -156,44 +152,3 @@ def sift_order(
         stats=stats,
     )
     return list(sbdd.manager.var_order)
-
-
-def sift_order_rebuild(
-    netlist: Netlist,
-    start: Sequence[str] | None = None,
-    max_rounds: int = 1,
-    time_budget: float | None = None,
-) -> list[str]:
-    """Rebuild-based greedy sifting (the pre-optimization baseline).
-
-    Rebuilds the shared BDD for every candidate position, so the cost is
-    ``O(rounds * n_vars^2)`` BDD constructions — exact and simple, meant
-    for small netlists and for benchmarking the in-place sifter against.
-    Stops early when ``time_budget`` seconds have elapsed.
-    """
-    order = list(start) if start is not None else static_order(netlist)
-    best_size = sbdd_size_for_order(netlist, order)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
-
-    for _ in range(max_rounds):
-        improved = False
-        for name in list(order):
-            if deadline is not None and time.monotonic() > deadline:
-                return order
-            base = order.index(name)
-            best_pos, best_here = base, best_size
-            without = order[:base] + order[base + 1 :]
-            for pos in range(len(order)):
-                if pos == base:
-                    continue
-                candidate = without[:pos] + [name] + without[pos:]
-                size = sbdd_size_for_order(netlist, candidate)
-                if size < best_here:
-                    best_here, best_pos = size, pos
-            if best_pos != base:
-                order = without[:best_pos] + [name] + without[best_pos:]
-                best_size = best_here
-                improved = True
-        if not improved:
-            break
-    return order

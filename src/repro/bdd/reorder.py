@@ -175,11 +175,10 @@ def sift(
     ``roots``) is smallest.  The main rounds visit variables in their
     current level order and scan positions top-down with
     strictly-smaller/earliest tie-breaking — exactly the greedy
-    trajectory of the rebuild-based
-    :func:`repro.bdd.ordering.sift_order_rebuild`, so the result is
-    never larger than that baseline; a final ``polish`` round (largest
-    level population first, improvements only) can then only shrink it
-    further.  Returns the final live size.
+    trajectory of a sifter that rebuilds the BDD per candidate position,
+    so the result is never larger than that baseline; a final ``polish``
+    round (largest level population first, improvements only) can then
+    only shrink it further.  Returns the final live size.
 
     With ``max_growth`` set, a position scan is aborted early once the
     live size exceeds ``max_growth`` times the best size seen for the

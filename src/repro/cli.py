@@ -251,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--time-limit", type=float, default=60.0)
     synth.add_argument("--layers", type=int, default=1, metavar="K",
                        help="memristor layers in the target crossbar (default 1)")
-    synth.add_argument("--plane-method", default="auto",
-                       choices=["auto", "fold", "milp", "decomposed-milp"],
-                       help="plane-assignment solver for --layers >= 2 "
-                            "(decomposed-milp lifts the exact-solve size limit)")
     synth.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker threads for the decomposed labeling solve",
@@ -367,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_synth.add_argument("--time-limit", type=float, default=60.0)
     c_synth.add_argument("--layers", type=int, default=1, metavar="K",
                          help="memristor layers in the target crossbar (default 1)")
-    c_synth.add_argument("--plane-method", default="auto",
-                         choices=["auto", "fold", "milp", "decomposed-milp"],
-                         help="plane-assignment solver for --layers >= 2")
     c_synth.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker threads for the decomposed labeling solve (server side)",
@@ -542,7 +535,6 @@ def _synth_params(args) -> dict:
         "solver_jobs": max(1, args.jobs),
         "validate": not args.no_validate,
         "layers": args.layers,
-        "plane_method": args.plane_method,
     }
     if args.expr:
         params["expr"] = args.expr
@@ -744,7 +736,6 @@ def _cmd_bench_perf(args) -> int:
         DEFAULT_TIME_LIMIT,
         render_layer_sweep_table,
         render_perf_table,
-        run_layer_sweep,
         run_perf_suite,
         write_bench_json,
     )
@@ -752,6 +743,16 @@ def _cmd_bench_perf(args) -> int:
     names = None
     if args.circuits:
         names = [n.strip() for n in args.circuits.split(",") if n.strip()]
+    layers = None
+    if args.layer_sweep:
+        try:
+            layers = [int(k.strip()) for k in args.layer_sweep.split(",") if k.strip()]
+        except ValueError:
+            layers = []
+        if not layers or min(layers) < 1:
+            raise _usage_error(
+                f"--layer-sweep wants comma-separated integers >= 1, got {args.layer_sweep!r}"
+            )
     time_limit = args.time_limit if args.time_limit is not None else DEFAULT_TIME_LIMIT
     payload = run_perf_suite(
         tier=args.tier,
@@ -759,27 +760,10 @@ def _cmd_bench_perf(args) -> int:
         names=names,
         time_limit=time_limit,
         solver_jobs=max(1, args.solver_jobs),
+        layers=layers,
     )
     print(render_perf_table(payload).render())
-    if args.layer_sweep:
-        try:
-            layers = tuple(
-                int(k.strip()) for k in args.layer_sweep.split(",") if k.strip()
-            )
-        except ValueError:
-            raise _usage_error(
-                f"--layer-sweep wants comma-separated integers, got {args.layer_sweep!r}"
-            ) from None
-        try:
-            payload["layer_sweep"] = run_layer_sweep(
-                names=names,
-                tier=args.tier,
-                layers=layers,
-                jobs=_resolve_jobs(args.jobs),
-                time_limit=time_limit,
-            )
-        except ValueError as exc:
-            raise _usage_error(str(exc)) from exc
+    if layers is not None:
         print()
         print(render_layer_sweep_table(payload["layer_sweep"]).render())
     if args.perf_json:

@@ -24,7 +24,7 @@ from ..circuits.netlist import Netlist
 from ..crossbar.design import CrossbarDesign
 from ..expr import Expr
 from ..perf import StageTimer
-from .klabel import PLANE_METHODS, KLabeling, assign_planes
+from .klabel import KLabeling, assign_planes
 from .labeling import VHLabeling
 from .mapping import map_to_crossbar
 from .mapping3d import map_to_crossbar3d
@@ -129,10 +129,9 @@ class Compact:
             raise ValueError("jobs must be >= 1")
         if not isinstance(layers, int) or layers < 1:
             raise ValueError("layers must be an integer >= 1")
-        if plane_method not in PLANE_METHODS:
+        if plane_method not in ("auto", "decomposed-milp"):
             raise ValueError(
-                f"plane_method must be one of {'/'.join(PLANE_METHODS)}, "
-                f"got {plane_method!r}"
+                f"plane_method must be auto or decomposed-milp, got {plane_method!r}"
             )
         self.gamma = gamma
         self.alignment = alignment
@@ -141,7 +140,6 @@ class Compact:
         self.time_limit = time_limit
         self.jobs = jobs
         self.layers = layers
-        self.plane_method = plane_method
 
     # -- entry points ------------------------------------------------------------
     def synthesize_netlist(
@@ -233,7 +231,6 @@ class Compact:
                     method=self.method,
                     backend=self.backend,
                     time_limit=self.time_limit,
-                    plane_method=self.plane_method,
                 )
         with timer.stage("mapping"):
             if self.layers > 1:

@@ -23,10 +23,9 @@ therefore solves in two stages:
 2. a *plane assignment* spreads the wires over the K+1 planes —
    :func:`assign_planes` runs a zigzag-fold heuristic (provably valid
    and never worse than the planar solution) refined by a greedy load
-   rebalance, plus an exact MILP: monolithic on small graphs
-   (``plane_method="auto"``/``"milp"``), or kernelized —
-   port-forcing, distance-based domain pruning and a per-component
-   split — past :data:`MILP_NODE_LIMIT` (``plane_method="decomposed-milp"``).
+   rebalance, then one exact MILP at every graph size, kernelized by
+   port forcing, distance-based domain pruning and a per-component
+   split.
 
 Every result is measured against two independent capacity bounds from
 :mod:`repro.graphs.bounds`: the fixed-split bound certifies the *plane
@@ -55,17 +54,8 @@ __all__ = [
     "KLabeling",
     "lift_labeling",
     "assign_planes",
-    "MILP_NODE_LIMIT",
-    "PLANE_METHODS",
     "stitch_lower_bound",
 ]
-
-#: Stage-2 solver selection accepted by :func:`assign_planes`.
-PLANE_METHODS = ("auto", "fold", "milp", "decomposed-milp")
-
-#: Largest pure-graph node count handed to the exact plane-assignment
-#: MILP; bigger graphs keep the zigzag-fold heuristic result.
-MILP_NODE_LIMIT = 240
 
 
 @dataclass(frozen=True, order=True)
@@ -271,23 +261,15 @@ def assign_planes(
     method: str = "auto",
     backend: str = "highs",
     time_limit: float | None = None,
-    plane_method: str = "auto",
 ) -> KLabeling:
     """Spread a planar labeling's wires over ``num_layers`` layers.
 
     The stitch set and H/V bipartition of ``labeling`` are kept (they
     stay optimal for every K, see the module docstring); only the plane
-    of each wire is chosen.  Runs the zigzag fold plus greedy rebalance
-    always; ``plane_method`` selects the refinement:
-
-    * ``"auto"`` — the monolithic exact MILP (warm-checked against the
-      fold) when the graph fits :data:`MILP_NODE_LIMIT` and ``method``
-      is not ``"heuristic"``;
-    * ``"milp"`` — the monolithic MILP regardless of size;
-    * ``"decomposed-milp"`` — the kernelized MILP (port forcing,
-      distance-pruned domains, per-component split), which lifts the
-      node-count ceiling;
-    * ``"fold"`` — the heuristic alone.
+    of each wire is chosen.  The zigzag fold plus greedy rebalance
+    always runs; unless ``method`` is ``"heuristic"`` the kernelized
+    exact MILP (port forcing, distance-pruned domains, per-component
+    split) then refines it at every graph size.
 
     The result never has a larger footprint than the planar design, and
     its meta carries the capacity certificates: ``plane_s_lb`` (fixed
@@ -297,11 +279,6 @@ def assign_planes(
     """
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-    if plane_method not in PLANE_METHODS:
-        raise ValueError(
-            f"plane_method must be one of {'/'.join(PLANE_METHODS)}, "
-            f"got {plane_method!r}"
-        )
     started = time.perf_counter()
     n = len(bdd_graph.graph)
     ports = len(bdd_graph.port_nodes()) if alignment else 0
@@ -327,34 +304,22 @@ def assign_planes(
     chosen = "fold"
     plane_optimal = False
 
-    run_monolithic = plane_method == "milp" or (
-        plane_method == "auto"
-        and method != "heuristic"
-        and n <= MILP_NODE_LIMIT
-    )
     exact = None
-    if run_monolithic:
-        exact = _plane_milp(
-            bdd_graph, labeling, num_layers, gamma, alignment,
-            backend=backend, time_limit=time_limit, warm=folded,
-        )
-        exact_tag = "milp"
-    elif plane_method == "decomposed-milp":
+    if method != "heuristic":
         exact = _plane_milp_decomposed(
             bdd_graph, labeling, num_layers, gamma, alignment,
             backend=backend, time_limit=time_limit, warm=folded,
         )
-        exact_tag = "decomposed-milp"
     if exact is not None:
         milp_labeling, milp_optimal = exact
         plane_optimal = milp_optimal
         if milp_labeling.objective(gamma) < best.objective(gamma) - 1e-9:
             best = milp_labeling
-            chosen = exact_tag
+            chosen = "decomposed-milp"
         elif milp_optimal:
             # The fold already attains the exact optimum; keep it
             # (deterministic tie-break) but record the certificate.
-            chosen = f"fold+{exact_tag}-certified"
+            chosen = "fold+decomposed-milp-certified"
 
     # Certify against the fixed-split capacity bound: with the H/V
     # bipartition frozen by stage 1, every plane assignment has
@@ -543,7 +508,7 @@ def _rebalance(bdd_graph: BddGraph, klabeling: KLabeling, alignment: bool) -> No
                     break
 
 
-def _plane_milp(
+def _plane_milp_decomposed(
     bdd_graph: BddGraph,
     labeling: VHLabeling,
     num_layers: int,
@@ -558,105 +523,8 @@ def _plane_milp(
     One binary per (node, allowed label); incompatible label pairs are
     forbidden edge by edge; R/C bound every horizontal/vertical plane
     load and D bounds both, reproducing the paper's Eq. 4 objective on
-    the 3D footprint.  Returns ``(labeling, proved_optimal)``.
-    """
-    from ..milp.model import Model, sum_expr
-
-    graph = bdd_graph.graph
-    labels = labeling.labels
-    ports = set(bdd_graph.port_nodes()) if alignment else set()
-
-    def allowed(v: int) -> list[KLabel]:
-        lab = labels[v]
-        if lab is Label.VH:
-            options = [KLabel(Label.VH, l) for l in range(num_layers)]
-        elif lab is Label.H:
-            options = [
-                KLabel(Label.H, m) for m in range(num_layers // 2 + 1)
-            ]
-        else:
-            options = [
-                KLabel(Label.V, m) for m in range((num_layers + 1) // 2)
-            ]
-        if v in ports:
-            options = [o for o in options if o.has_plane0()]
-        return options
-
-    model = Model("plane-assign")
-    x: dict[tuple[int, KLabel], object] = {}
-    choices: dict[int, list[KLabel]] = {}
-    for v in sorted(graph.nodes()):
-        opts = allowed(v)
-        choices[v] = opts
-        for o in opts:
-            x[(v, o)] = model.add_binary(f"x_{v}_{o}")
-        model.add_constraint(sum_expr(x[(v, o)] for o in opts) == 1)
-
-    for u, v in graph.edges():
-        for lu in choices[u]:
-            for lv in choices[v]:
-                if not lu.compatible(lv):
-                    model.add_constraint(x[(u, lu)] + x[(v, lv)] <= 1)
-
-    r_var = model.add_integer("R", lb=0)
-    c_var = model.add_integer("C", lb=0)
-    d_var = model.add_integer("D", lb=0)
-    for plane in range(num_layers + 1):
-        load = sum_expr(
-            x[(v, o)]
-            for v, opts in choices.items()
-            for o in opts
-            if plane in o.planes
-        )
-        bound = r_var if plane % 2 == 0 else c_var
-        model.add_constraint(load - bound <= 0)
-    model.add_constraint(d_var - r_var >= 0)
-    model.add_constraint(d_var - c_var >= 0)
-    model.minimize(gamma * (r_var + c_var) + (1.0 - gamma) * d_var)
-
-    initial = None
-    if backend == "bnb":
-        initial = {var.name: 0.0 for var in model.variables}
-        for v, lab in warm.labels.items():
-            initial[f"x_{v}_{lab}"] = 1.0
-        initial["R"] = float(warm.rows)
-        initial["C"] = float(warm.cols)
-        initial["D"] = float(warm.max_dimension)
-
-    try:
-        solution = model.solve(
-            backend=backend, time_limit=time_limit, initial_solution=initial
-        )
-    except Exception:
-        return None
-    if solution.status not in ("optimal", "feasible"):
-        return None
-    chosen: dict[int, KLabel] = {}
-    for v, opts in choices.items():
-        picks = [o for o in opts if solution.int_value(f"x_{v}_{o}") == 1]
-        if len(picks) != 1:
-            return None
-        chosen[v] = picks[0]
-    result = KLabeling(num_layers, chosen)
-    if not result.is_valid(bdd_graph, alignment=alignment):
-        return None
-    return result, solution.is_optimal
-
-
-def _plane_milp_decomposed(
-    bdd_graph: BddGraph,
-    labeling: VHLabeling,
-    num_layers: int,
-    gamma: float,
-    alignment: bool,
-    backend: str,
-    time_limit: float | None,
-    warm: KLabeling,
-):
-    """Kernelized exact plane assignment; None on failure.
-
-    The PR 5 core/kernel treatment applied to stage 2, which lifts the
-    :data:`MILP_NODE_LIMIT` ceiling of the monolithic model:
+    the 3D footprint.  Three reductions keep the model small at any
+    graph size:
 
     * *forced assignments* — a port's domain collapses to its only
       plane-0 option (``H@0`` or ``VH@0``), a singleton the presolve

@@ -1,17 +1,23 @@
 """Parallel perf-benchmark harness and ``BENCH_*.json`` emitter.
 
 Runs the full COMPACT pipeline (in-place sift -> SBDD -> labeling ->
-mapping) over the benchmark suite, one circuit per worker process, and
-records the perf trajectory: per-circuit wall times, SBDD sizes before
-and after sifting, op-cache hit rates and sift swap counts.  The
-resulting payload validates against :mod:`repro.perf.schema` and is what
-``python -m repro bench perf --jobs N --perf-json BENCH_compact.json``
-persists.
+mapping -> validation) over the benchmark suite, one (circuit, layer
+count) task per worker process, and records the perf trajectory:
+per-circuit wall times, SBDD sizes before and after sifting, op-cache
+hit rates and sift swap counts.  The planar (K=1) records are the
+headline ``circuits`` block; a layer sweep is projected from the same
+records, so its K=1 column is the headline.  The resulting payload
+validates against :mod:`repro.perf.schema` and is what ``python -m
+repro bench perf --jobs N --perf-json BENCH_compact.json`` persists.
 
 Determinism: workers are pure (fresh manager and fresh counters per
-process/circuit) and records are sorted by circuit name, so ``--jobs 1``
-and ``--jobs 4`` produce identical results up to wall-clock fields.
-:func:`deterministic_view` strips exactly those fields for comparisons.
+process and task) and records are sorted by circuit name, so a run's
+designs do not depend on ``--jobs`` as long as every solve finishes
+inside its wall-clock ``time_limit``.  A solve cut short by that budget
+returns whatever it had found, which depends on machine load; the
+committed baseline is therefore made at ``--jobs 1``.
+:func:`deterministic_view` strips the wall-clock fields for
+comparisons.
 
 This module deliberately lives outside ``repro.perf.__init__`` — it
 imports the bench suites and the core pipeline, which themselves import
@@ -23,11 +29,13 @@ from __future__ import annotations
 import json
 import platform
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ..bdd import build_sbdd, sift_order, static_order
 from ..core import Compact
+from ..core.klabel import stitch_lower_bound
 from ..crossbar import validate_design
 from . import counters
 from .schema import BENCH_SCHEMA_ID, validate_bench_payload
@@ -35,7 +43,6 @@ from .schema import BENCH_SCHEMA_ID, validate_bench_payload
 __all__ = [
     "run_perf_circuit",
     "run_perf_suite",
-    "run_layer_sweep",
     "deterministic_view",
     "write_bench_json",
     "render_perf_table",
@@ -54,12 +61,17 @@ def run_perf_circuit(
     time_limit: float = DEFAULT_TIME_LIMIT,
     sift_rounds: int = 1,
     solver_jobs: int = 1,
+    layers: int = 1,
 ) -> dict:
-    """Synthesize one suite circuit with full perf instrumentation.
+    """Synthesize one suite circuit on ``layers`` memristor layers.
 
+    The one pipeline every bench row runs: sift, then
+    :meth:`Compact.synthesize_netlist`, then validation.
     ``solver_jobs`` sets the labeling solver's worker threads (parallel
     cyclic cores / kernel components); it never changes the synthesized
-    design.  Returns a JSON-ready record (see :mod:`repro.perf.schema`).
+    design.  Returns a JSON-ready record (see :mod:`repro.perf.schema`)
+    that also carries what a layer-sweep row needs: via count, plane
+    solver, plane certificate and certified gap.
     """
     from ..bench.suites import circuit
 
@@ -77,7 +89,7 @@ def run_perf_circuit(
 
     compact = Compact(
         gamma=gamma, method=method, backend=backend, time_limit=time_limit,
-        jobs=solver_jobs,
+        jobs=solver_jobs, layers=layers,
     )
     t0 = time.monotonic()
     result = compact.synthesize_netlist(netlist, order=order)
@@ -103,10 +115,25 @@ def run_perf_circuit(
         t_sweep = time.monotonic() - t0
         sweep_rate = (1 << n_inputs) / t_sweep if t_sweep > 0 else 0.0
 
+    meta = result.labeling.meta
+    if layers == 1:
+        # The planar path never enters stage 2: a single plane per side
+        # admits exactly one assignment, and the certified bound is the
+        # planar identity n + oct_lb (what L001 checks).
+        plane_method = "2d"
+        plane_optimal = True
+        s_lb = len(result.bdd_graph.graph) + stitch_lower_bound(result.labeling)
+        certified_gap = design.semiperimeter - s_lb
+    else:
+        plane_method = meta.get("plane_method", "")
+        plane_optimal = bool(meta.get("plane_optimal", False))
+        certified_gap = int(meta.get("certified_gap", 0))
+
     stages = {k: round(v, 6) for k, v in result.times.items()}
     stages["validate"] = round(t_validate, 6)
     return {
         "circuit": name,
+        "layers": layers,
         "inputs": len(netlist.inputs),
         "outputs": len(netlist.outputs),
         "sbdd_nodes_static": static_nodes,
@@ -138,12 +165,16 @@ def run_perf_circuit(
             "cols": design.num_cols,
             "semiperimeter": design.semiperimeter,
             "max_dimension": design.max_dimension,
+            "vias": design.via_count,
         },
         "labeling": {
-            "method": result.labeling.meta.get("method", ""),
+            "method": meta.get("method", ""),
             "oct_cores": counters.get("oct_cores"),
             "vc_kernel_milps": counters.get("vc_kernel_milps"),
             "vc_kernel_splits": counters.get("vc_kernel_splits"),
+            "plane_method": plane_method,
+            "plane_optimal": plane_optimal,
+            "certified_gap": certified_gap,
         },
         "optimal": result.optimal,
     }
@@ -164,15 +195,19 @@ def run_perf_suite(
     time_limit: float = DEFAULT_TIME_LIMIT,
     sift_rounds: int = 1,
     solver_jobs: int = 1,
+    layers: Sequence[int] | None = None,
 ) -> dict:
     """Run the perf harness over the suite; returns the BENCH payload.
 
-    ``jobs > 1`` fans circuits out to a :class:`ProcessPoolExecutor`
-    (one circuit per worker); ``solver_jobs`` additionally parallelizes
-    the labeling solve *within* each circuit (decomposed cores/kernel
-    components).  ``names`` restricts the run to specific suite
-    circuits.  Records are sorted by circuit name regardless of
-    completion order.
+    Every circuit runs at K=1 (the headline ``circuits`` block) and at
+    each layer count in ``layers``; when ``layers`` is given, the
+    payload also gets a ``layer_sweep`` block projected from those same
+    records, one result row per layer count.  ``jobs > 1`` fans the
+    (circuit, K) tasks out to one :class:`ProcessPoolExecutor`;
+    ``solver_jobs`` additionally parallelizes the labeling solve
+    *within* each task (decomposed cores/kernel components).  ``names``
+    restricts the run to specific suite circuits.  Records are sorted
+    by circuit name regardless of completion order.
     """
     from ..bench.suites import suite
 
@@ -183,6 +218,9 @@ def run_perf_suite(
         unknown = sorted(set(names) - known)
         if unknown:
             raise ValueError(f"unknown suite circuits: {', '.join(unknown)}")
+    sweep = None if layers is None else sorted({int(k) for k in layers})
+    if sweep is not None and (not sweep or sweep[0] < 1):
+        raise ValueError("layer counts must be integers >= 1")
     kwargs = {
         "gamma": gamma,
         "method": method,
@@ -191,7 +229,12 @@ def run_perf_suite(
         "sift_rounds": sift_rounds,
         "solver_jobs": solver_jobs,
     }
-    tasks = [(name, kwargs) for name in sorted(set(names))]
+    names = sorted(set(names))
+    tasks = [
+        (name, dict(kwargs, layers=k))
+        for name in names
+        for k in sorted({1, *(sweep or ())})
+    ]
 
     t0 = time.monotonic()
     if jobs <= 1:
@@ -201,7 +244,7 @@ def run_perf_suite(
             records = list(pool.map(_worker, tasks))
     total_wall = time.monotonic() - t0
 
-    records.sort(key=lambda r: r["circuit"])
+    headline = [r for r in records if r["layers"] == 1]
     payload = {
         "schema": BENCH_SCHEMA_ID,
         "suite_tier": tier or "fast",
@@ -212,115 +255,45 @@ def run_perf_suite(
         "jobs": jobs,
         "solver_jobs": solver_jobs,
         "python": platform.python_version(),
-        "circuits": records,
+        "circuits": headline,
         "totals": {
-            "circuits": len(records),
+            "circuits": len(headline),
             "wall_time_s": total_wall,
-            "sift_swaps": sum(r["sift"]["swaps"] for r in records),
-            "sbdd_nodes_sifted": sum(r["sbdd_nodes_sifted"] for r in records),
+            "sift_swaps": sum(r["sift"]["swaps"] for r in headline),
+            "sbdd_nodes_sifted": sum(r["sbdd_nodes_sifted"] for r in headline),
         },
     }
+    if sweep is not None:
+        payload["layer_sweep"] = {
+            "layers": sweep,
+            "gamma": gamma,
+            "method": method,
+            "circuits": [
+                {
+                    "circuit": name,
+                    "results": [
+                        _sweep_row(r)
+                        for r in records
+                        if r["circuit"] == name and r["layers"] in sweep
+                    ],
+                }
+                for name in names
+            ],
+        }
     return validate_bench_payload(payload)
 
 
-def _layer_point(task: tuple[str, int, dict]) -> dict:
-    """One (circuit, layer-count) synthesis for the layer sweep."""
-    from ..bench.suites import circuit
-
-    from ..core.klabel import stitch_lower_bound
-
-    name, layers, kwargs = task
-    netlist = circuit(name)
-    compact = Compact(layers=layers, **kwargs)
-    t0 = time.monotonic()
-    result = compact.synthesize_netlist(netlist)
-    wall = time.monotonic() - t0
-    design = result.design
-    report = validate_design(design, netlist.evaluate, netlist.inputs)
-    meta = result.labeling.meta
-    if layers == 1:
-        # The planar path never enters stage 2: a single plane per side
-        # admits exactly one assignment, and the certified bound is the
-        # planar identity n + oct_lb (what L001 checks).
-        plane_optimal = True
-        s_lb = len(result.bdd_graph.graph) + stitch_lower_bound(result.labeling)
-        certified_gap = design.semiperimeter - s_lb
-    else:
-        plane_optimal = bool(meta.get("plane_optimal", False))
-        certified_gap = int(meta.get("certified_gap", 0))
+def _sweep_row(record: dict) -> dict:
+    """A ``layer_sweep`` result row: the footprint and plane certificate."""
+    labeling = record["labeling"]
     return {
-        "circuit": name,
-        "layers": layers,
-        "rows": design.num_rows,
-        "cols": design.num_cols,
-        "semiperimeter": design.semiperimeter,
-        "max_dimension": design.max_dimension,
-        "vias": design.via_count,
-        "plane_method": meta.get("plane_method", "2d"),
-        "plane_optimal": plane_optimal,
-        "certified_gap": certified_gap,
-        "ok": report.ok,
-        "wall_time_s": wall,
-    }
-
-
-def run_layer_sweep(
-    names: list[str] | None = None,
-    tier: str | None = None,
-    layers: tuple[int, ...] = (1, 2, 3),
-    jobs: int = 1,
-    gamma: float = 0.5,
-    method: str = "auto",
-    backend: str = "highs",
-    time_limit: float = DEFAULT_TIME_LIMIT,
-) -> dict:
-    """Semiperimeter-vs-layer-count sweep over the benchmark suite.
-
-    Synthesizes every named circuit at each layer count in ``layers``,
-    validates each design against its netlist, and returns the
-    ``layer_sweep`` block for the BENCH payload: per circuit, one result
-    row per layer count (footprint, semiperimeter, via count, whether
-    the layered design validated).  The 2-layer and 3-layer points are
-    the FLOW-3D-style folds; the 1-layer point is the paper's planar
-    baseline, so each row directly reads as "S shrinks (or holds) as
-    layers are added".
-    """
-    from ..bench.suites import suite
-
-    if names is None:
-        names = [b.name for b in suite(tier)]
-    layer_list = sorted(set(int(k) for k in layers))
-    if not layer_list or layer_list[0] < 1:
-        raise ValueError("layer counts must be integers >= 1")
-    kwargs = {
-        "gamma": gamma, "method": method, "backend": backend,
-        "time_limit": time_limit,
-    }
-    tasks = [
-        (name, k, kwargs) for name in sorted(set(names)) for k in layer_list
-    ]
-    if jobs <= 1:
-        points = [_layer_point(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_layer_point, tasks))
-
-    by_circuit: dict[str, list[dict]] = {}
-    for point in points:
-        row = dict(point)
-        row.pop("circuit")
-        by_circuit.setdefault(point["circuit"], []).append(row)
-    return {
-        "layers": layer_list,
-        "gamma": gamma,
-        "method": method,
-        "circuits": [
-            {
-                "circuit": name,
-                "results": sorted(rows, key=lambda r: r["layers"]),
-            }
-            for name, rows in sorted(by_circuit.items())
-        ],
+        "layers": record["layers"],
+        **record["crossbar"],
+        "plane_method": labeling["plane_method"],
+        "plane_optimal": labeling["plane_optimal"],
+        "certified_gap": labeling["certified_gap"],
+        "ok": record["validate"]["ok"],
+        "wall_time_s": record["wall_time_s"],
     }
 
 
@@ -364,9 +337,10 @@ _TIME_FIELDS = frozenset(
 def deterministic_view(payload: dict) -> dict:
     """The payload minus wall-clock fields and run metadata.
 
-    Two runs of the same suite at any ``--jobs`` level must agree on
-    this view exactly; the regression test for deterministic
-    parallelism compares it across ``--jobs 1`` and ``--jobs 4``.
+    Two runs of the same suite whose solves all finish inside their
+    budget agree on this view at any ``--jobs`` level; the regression
+    test for deterministic parallelism compares it across ``--jobs 1``
+    and ``--jobs 4`` on circuits that solve in well under a second.
     """
 
     def strip(value):

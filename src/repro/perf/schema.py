@@ -149,13 +149,13 @@ def validate_bench_payload(payload: dict) -> dict:
     if "layer_sweep" in payload:
         _validate_layer_sweep(payload["layer_sweep"])
     # Optional (added with the async service front; older baselines
-    # predate the fleet load generator).
+    # predate the load generator): one load-generator report.
     if "service_load" in payload:
-        _validate_service_load(payload["service_load"])
+        _validate_load_report(payload["service_load"], "$.service_load")
     return payload
 
 
-#: Required on each per-front report inside the ``service_load`` block.
+#: Required on the ``service_load`` block (one load-generator report).
 _LOAD_REPORT_FIELDS: tuple[tuple[str, type], ...] = (
     ("mix", str),
     ("front", str),
@@ -192,23 +192,6 @@ def _validate_load_report(report, where: str) -> None:
         raise ValueError(f"{where}: ok + errors must equal requests")
 
 
-def _validate_service_load(block) -> None:
-    """The optional ``service_load`` block: a front-vs-front load run.
-
-    Either a single load report or a comparison (``threaded`` +
-    ``async`` reports with the measured ``speedup_rps``).
-    """
-    where = "$.service_load"
-    if isinstance(block, dict) and "speedup_rps" in block:
-        _require(block, "mix", str, where)
-        _require(block, "connections", int, where)
-        _require(block, "speedup_rps", Real, where)
-        _validate_load_report(
-            _require(block, "threaded", dict, where), f"{where}.threaded"
-        )
-        _validate_load_report(_require(block, "async", dict, where), f"{where}.async")
-    else:
-        _validate_load_report(block, where)
 
 
 def _validate_layer_sweep(block) -> None:

@@ -39,6 +39,7 @@ from .protocol import (
     MAP_BATCH_DEFAULTS,
     MAP_DEFAULTS,
     SYNTH_DEFAULTS,
+    knob,
 )
 
 __all__ = [
@@ -53,7 +54,9 @@ __all__ = [
 #: Stamped into the hashed material; bump to invalidate every old key.
 #: v2: synth keys carry the ``layers`` knob (3D synthesis).
 #: v3: synth keys carry the ``plane_method`` knob (certified 3D solves).
-CACHE_KEY_SCHEMA = "repro-service-key/3"
+#: v4: ``plane_method`` is gone (one plane solver), and a null knob
+#: hashes like its default.
+CACHE_KEY_SCHEMA = "repro-service-key/4"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 
@@ -142,23 +145,23 @@ def canonical_request(method: str, params: dict) -> dict:
     material: dict = {"schema": CACHE_KEY_SCHEMA, "request": method}
     if method == "synth":
         material.update(_canonical_circuit(params))
-        for knob, default in SYNTH_DEFAULTS.items():
-            value = params.get(knob, default)
-            if knob == "order" and value is not None:
+        for name in SYNTH_DEFAULTS:
+            value = knob(params, SYNTH_DEFAULTS, name)
+            if name == "order" and value is not None:
                 value = list(value)
-            material[knob] = value
+            material[name] = value
     elif method == "map":
         material["design"] = _canonical_design(params)
         material.update(_canonical_circuit(params))
         material["fault_map"] = _canonical_fault_map(params)
-        for knob, default in MAP_DEFAULTS.items():
-            material[knob] = params.get(knob, default)
+        for name in MAP_DEFAULTS:
+            material[name] = knob(params, MAP_DEFAULTS, name)
     elif method == "map_batch":
         material["design"] = _canonical_design(params)
         material.update(_canonical_circuit(params))
         material["fault_maps"] = _canonical_fault_maps(params)
-        for knob, default in MAP_BATCH_DEFAULTS.items():
-            material[knob] = params.get(knob, default)
+        for name in MAP_BATCH_DEFAULTS:
+            material[name] = knob(params, MAP_BATCH_DEFAULTS, name)
     elif method == "validate_batch":
         material["design"] = _canonical_design(params)
         material.update(_canonical_circuit(params))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from .protocol import MAP_BATCH_DEFAULTS, MAP_DEFAULTS, SYNTH_DEFAULTS
+from .protocol import MAP_BATCH_DEFAULTS, MAP_DEFAULTS, SYNTH_DEFAULTS, knob
 
 __all__ = ["execute"]
 
@@ -75,24 +75,18 @@ def _validation_dict(report) -> dict:
     }
 
 
-def _knob(params: dict, defaults: dict, name: str):
-    value = params.get(name, defaults[name])
-    return defaults[name] if value is None and defaults[name] is not None else value
-
-
 def _synth(params: dict) -> dict:
     from ..core import Compact
     from ..crossbar import design_to_json, measure, validate_design
 
     reference, inputs, netlist, expr = _load_function(params)
     compact = Compact(
-        gamma=float(_knob(params, SYNTH_DEFAULTS, "gamma")),
-        method=_knob(params, SYNTH_DEFAULTS, "method"),
-        backend=_knob(params, SYNTH_DEFAULTS, "backend"),
-        time_limit=float(_knob(params, SYNTH_DEFAULTS, "time_limit")),
-        jobs=int(_knob(params, SYNTH_DEFAULTS, "solver_jobs")),
-        layers=int(_knob(params, SYNTH_DEFAULTS, "layers")),
-        plane_method=_knob(params, SYNTH_DEFAULTS, "plane_method"),
+        gamma=float(knob(params, SYNTH_DEFAULTS, "gamma")),
+        method=knob(params, SYNTH_DEFAULTS, "method"),
+        backend=knob(params, SYNTH_DEFAULTS, "backend"),
+        time_limit=float(knob(params, SYNTH_DEFAULTS, "time_limit")),
+        jobs=int(knob(params, SYNTH_DEFAULTS, "solver_jobs")),
+        layers=int(knob(params, SYNTH_DEFAULTS, "layers")),
     )
     order = params.get("order")
     if netlist is not None:
@@ -113,7 +107,7 @@ def _synth(params: dict) -> dict:
         "synth_time_s": result.synthesis_time,
         "validation": None,
     }
-    if params.get("validate", SYNTH_DEFAULTS["validate"]):
+    if knob(params, SYNTH_DEFAULTS, "validate"):
         payload["validation"] = _validation_dict(validate_design(design, reference, inputs))
     return _ok(payload)
 
@@ -133,7 +127,7 @@ def _map(params: dict) -> dict:
         fault_map_payload = _json.dumps(fault_map_payload)
     fault_map = fault_map_from_json(fault_map_payload)
 
-    knobs = {name: _knob(params, MAP_DEFAULTS, name) for name in MAP_DEFAULTS}
+    knobs = {name: knob(params, MAP_DEFAULTS, name) for name in MAP_DEFAULTS}
     resynthesized, order = False, None
     try:
         if knobs["resynthesize"]:
@@ -309,7 +303,7 @@ def _map_batch(params: dict) -> dict:
         raise ValueError("map_batch requests need a 'circuit' object (not an expression)")
     design = design_from_json(params["design_json"])
     maps = _load_fault_maps(params)
-    knobs = {name: _knob(params, MAP_BATCH_DEFAULTS, name) for name in MAP_BATCH_DEFAULTS}
+    knobs = {name: knob(params, MAP_BATCH_DEFAULTS, name) for name in MAP_BATCH_DEFAULTS}
 
     memo: dict[str, dict] = {}
     results = []

@@ -36,6 +36,7 @@ __all__ = [
     "SYNTH_DEFAULTS",
     "MAP_DEFAULTS",
     "MAP_BATCH_DEFAULTS",
+    "knob",
     "ProtocolError",
     "make_request",
     "ok_response",
@@ -89,8 +90,8 @@ ERROR_CODES = (
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
 #: Default synthesis knobs, shared by the job executor and the cache
-#: key derivation so that an omitted parameter and its explicit default
-#: hash to the same request.
+#: key derivation (through :func:`knob`) so that an omitted parameter,
+#: an explicit null and its explicit default hash to the same request.
 SYNTH_DEFAULTS: dict = {
     "gamma": 0.5,
     "method": "auto",
@@ -100,7 +101,6 @@ SYNTH_DEFAULTS: dict = {
     "validate": True,
     "order": None,
     "layers": 1,
-    "plane_method": "auto",
 }
 
 #: Default remap knobs (mirrors the ``repro map`` CLI defaults).
@@ -125,6 +125,12 @@ MAP_BATCH_DEFAULTS: dict = {
     "time_limit": 10.0,
     "seed": 0,
 }
+
+
+def knob(params: dict, defaults: dict, name: str):
+    """The value a request means for one knob: omitted or null is the default."""
+    value = params.get(name)
+    return defaults[name] if value is None else value
 
 
 class ProtocolError(ValueError):

@@ -256,14 +256,6 @@ class ServiceServer:
             for sig, handler in previous.items():
                 signal.signal(sig, handler)
 
-    def serve_forever(self) -> None:
-        """Blocking entry point: start, run until SIGTERM/SIGINT, drain."""
-        self.start()
-        try:
-            self.serve_until_signal()
-        finally:
-            self.stop()
-
     def __enter__(self):
         self.start()
         return self

@@ -4,7 +4,7 @@ import pytest
 
 from repro import Compact
 from repro.circuits import c17, decoder, priority_encoder, random_netlist
-from repro.crossbar import measure, validate_design
+from repro.crossbar import design_to_json, measure, validate_design
 from repro.expr import parse
 
 
@@ -20,6 +20,19 @@ class TestConfiguration:
     def test_defaults(self):
         c = Compact()
         assert c.gamma == 0.5 and c.alignment and c.method == "auto"
+
+    def test_plane_method_keyword_names_the_one_solver(self):
+        # "auto" and "decomposed-milp" both mean the one plane solver.
+        designs = {
+            design_to_json(
+                Compact(layers=2, plane_method=name).synthesize_netlist(c17()).design
+            )
+            for name in ("auto", "decomposed-milp")
+        }
+        assert len(designs) == 1
+        for name in ("fold", "milp", "simplex"):
+            with pytest.raises(ValueError, match="plane_method"):
+                Compact(layers=2, plane_method=name)
 
 
 class TestSynthesisEntryPoints:

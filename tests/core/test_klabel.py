@@ -13,9 +13,10 @@ from repro.core import (
     lift_labeling,
     preprocess,
 )
-from repro.core.klabel import MILP_NODE_LIMIT, _zigzag_fold, stitch_lower_bound
+from repro.core.klabel import _zigzag_fold, stitch_lower_bound
 from repro.core.labeling import LabelingError
 from repro.expr import parse
+from repro.milp.model import Model, sum_expr
 
 
 def labeled_graph(exprs=None, netlist=None, gamma=0.5):
@@ -25,6 +26,65 @@ def labeled_graph(exprs=None, netlist=None, gamma=0.5):
         sbdd = sbdd_from_exprs({k: parse(v) for k, v in exprs.items()})
     bg = preprocess(sbdd)
     return bg, label_weighted(bg, gamma=gamma, alignment=True)
+
+
+def plane_milp_oracle(bdd_graph, labeling, num_layers, gamma=0.5):
+    """Monolithic exact plane assignment: the oracle for the kernelized one.
+
+    One binary per (node, allowed label), with no port forcing, domain
+    pruning or component split; incompatible label pairs are forbidden
+    edge by edge, R/C bound every horizontal/vertical plane load and D
+    bounds both.  Returns the optimal aligned :class:`KLabeling`.
+    """
+    graph = bdd_graph.graph
+    ports = set(bdd_graph.port_nodes())
+
+    def allowed(v):
+        lab = labeling.labels[v]
+        if lab is Label.VH:
+            options = [KLabel(Label.VH, l) for l in range(num_layers)]
+        elif lab is Label.H:
+            options = [KLabel(Label.H, m) for m in range(num_layers // 2 + 1)]
+        else:
+            options = [KLabel(Label.V, m) for m in range((num_layers + 1) // 2)]
+        if v in ports:
+            options = [o for o in options if o.has_plane0()]
+        return options
+
+    model = Model("plane-assign-oracle")
+    x = {}
+    choices = {}
+    for v in sorted(graph.nodes()):
+        choices[v] = allowed(v)
+        for o in choices[v]:
+            x[(v, o)] = model.add_binary(f"x_{v}_{o}")
+        model.add_constraint(sum_expr(x[(v, o)] for o in choices[v]) == 1)
+    for u, v in graph.edges():
+        for lu in choices[u]:
+            for lv in choices[v]:
+                if not lu.compatible(lv):
+                    model.add_constraint(x[(u, lu)] + x[(v, lv)] <= 1)
+    r_var = model.add_integer("R", lb=0)
+    c_var = model.add_integer("C", lb=0)
+    d_var = model.add_integer("D", lb=0)
+    for plane in range(num_layers + 1):
+        load = sum_expr(
+            x[(v, o)] for v, opts in choices.items() for o in opts if plane in o.planes
+        )
+        model.add_constraint(load - (r_var if plane % 2 == 0 else c_var) <= 0)
+    model.add_constraint(d_var - r_var >= 0)
+    model.add_constraint(d_var - c_var >= 0)
+    model.minimize(gamma * (r_var + c_var) + (1.0 - gamma) * d_var)
+
+    solution = model.solve(backend="highs")
+    assert solution.is_optimal
+    picked = {
+        v: next(o for o in opts if solution.int_value(f"x_{v}_{o}") == 1)
+        for v, opts in choices.items()
+    }
+    oracle = KLabeling(num_layers, picked)
+    oracle.validate(bdd_graph, alignment=True)
+    return oracle
 
 
 class TestKLabel:
@@ -117,7 +177,7 @@ class TestAssignPlanes:
         assert "plane_seconds" in kl.meta
         assert kl.meta["certified_gap"] == kl.semiperimeter - kl.meta["certified_s_lb"]
         assert kl.meta["certified_gap"] >= 0
-        assert kl.meta["plane_method"].split("+")[0] in ("fold", "milp")
+        assert kl.meta["plane_method"].split("+")[0] in ("fold", "decomposed-milp")
 
     def test_heuristic_method_skips_the_milp(self):
         bg, lab = labeled_graph(netlist=c17())
@@ -147,47 +207,35 @@ class TestAssignPlanes:
         with pytest.raises(ValueError):
             assign_planes(bg, lab, 0)
 
-    def test_large_graph_uses_fold_only(self, monkeypatch):
-        import repro.core.klabel as klabel_mod
-
-        bg, lab = labeled_graph(netlist=majority_voter(9))
-        monkeypatch.setattr(klabel_mod, "MILP_NODE_LIMIT", 1)
-        kl = assign_planes(bg, lab, 2)
-        kl.validate(bg, alignment=True)
-        assert kl.meta["plane_method"].startswith("fold")
-        assert "milp" not in kl.meta["plane_method"]
-
-    def test_rejects_unknown_plane_method(self):
-        bg, lab = labeled_graph(exprs={"f": "a & b"})
-        with pytest.raises(ValueError, match="plane_method"):
-            assign_planes(bg, lab, 2, plane_method="simplex")
-
     def test_decomposed_milp_matches_monolithic_on_c17(self):
         bg, lab = labeled_graph(netlist=c17())
-        mono = assign_planes(bg, lab, 2, plane_method="milp")
-        dec = assign_planes(bg, lab, 2, plane_method="decomposed-milp")
+        oracle = plane_milp_oracle(bg, lab, 2)
+        dec = assign_planes(bg, lab, 2)
         dec.validate(bg, alignment=True)
-        assert dec.semiperimeter == mono.semiperimeter
+        assert dec.semiperimeter == oracle.semiperimeter
+        assert dec.objective(0.5) == oracle.objective(0.5)
         assert "decomposed-milp" in dec.meta["plane_method"]
+        assert dec.meta["plane_optimal"] is True
 
 
 class TestDecomposedMilpAboveTheGate:
-    """Circuits past the monolithic node gate still get exact plane MILPs."""
+    """Graphs of 272-280 nodes get the exact plane MILP by default,
+    not only the fold."""
 
     @pytest.mark.parametrize("name", ["cavlc_like", "router24"])
     def test_decomposed_is_exact_above_milp_node_limit(self, name):
         from repro.bench.suites import circuit
 
         bg = preprocess(build_sbdd(circuit(name)))
-        assert len(bg.graph) > MILP_NODE_LIMIT
+        assert 270 < len(bg.graph) < 290
         # Stage-1 quality is irrelevant here (a time limit keeps the
         # test fast); the property under test is that the kernelized
         # per-component MILPs reproduce the monolithic optimum.
         lab = label_weighted(bg, gamma=0.5, alignment=True, time_limit=5)
-        dec = assign_planes(bg, lab, 3, plane_method="decomposed-milp")
-        mono = assign_planes(bg, lab, 3, plane_method="milp")
+        dec = assign_planes(bg, lab, 3)
+        oracle = plane_milp_oracle(bg, lab, 3)
         dec.validate(bg, alignment=True)
-        assert dec.semiperimeter == mono.semiperimeter
+        assert dec.semiperimeter == oracle.semiperimeter
         assert "decomposed-milp" in dec.meta["plane_method"]
         assert dec.meta["plane_optimal"] is True
 

@@ -76,10 +76,12 @@ class TestDeterministicParallelism:
 
 class TestLayerSweep:
     @pytest.fixture(scope="class")
-    def sweep(self):
-        from repro.perf.harness import run_layer_sweep
+    def swept(self):
+        return run_perf_suite(names=["c17"], layers=(1, 2), time_limit=10.0)
 
-        return run_layer_sweep(names=["c17"], layers=(1, 2), time_limit=10.0)
+    @pytest.fixture(scope="class")
+    def sweep(self, swept):
+        return swept["layer_sweep"]
 
     def test_shape(self, sweep):
         assert sweep["layers"] == [1, 2]
@@ -108,6 +110,14 @@ class TestLayerSweep:
         assert isinstance(two["plane_optimal"], bool)
         for r in entry["results"]:
             assert r["certified_gap"] >= 0
+
+    def test_k1_row_is_the_headline(self, swept):
+        # The sweep is projected from the same records as the headline.
+        (entry,) = swept["layer_sweep"]["circuits"]
+        (headline,) = swept["circuits"]
+        one = entry["results"][0]
+        assert {k: one[k] for k in headline["crossbar"]} == headline["crossbar"]
+        assert one["wall_time_s"] == headline["wall_time_s"]
 
     def test_rendered_table(self, sweep):
         from repro.perf.harness import render_layer_sweep_table

@@ -56,6 +56,19 @@ def test_omitted_knobs_hash_like_their_defaults():
     assert implicit == explicit
 
 
+def test_null_knobs_hash_like_the_job_they_run():
+    # The job executor reads a null knob as its default, so the key must too.
+    from repro.service.jobs import execute
+
+    implicit = {"expr": "a & b"}
+    nulls = {"expr": "a & b", "gamma": None, "time_limit": None}
+    assert request_key("synth", nulls) == request_key("synth", implicit)
+    designs = [
+        execute("synth", params)["result"]["design_json"] for params in (implicit, nulls)
+    ]
+    assert designs[0] == designs[1]
+
+
 def test_different_knobs_and_functions_get_different_keys():
     base = request_key("synth", {"expr": "a & b"})
     assert request_key("synth", {"expr": "a & b", "gamma": 0.9}) != base
