@@ -46,17 +46,21 @@ campaign-smoke:
 	$(PYTHON) -m repro bench campaign --chaos --samples 40 --shard-size 5 \
 	  --p-stuck-on 0.01 --p-stuck-off 0.05
 
-# 3D path end to end: two-layer synthesis (validated) on two example
-# circuits, each artifact re-checked against its layered certificate
-# (repro check exits 1 on any non-INFO finding), then a small layer
+# Layered path end to end: two-layer synthesis (validated) on two
+# example circuits plus a one-layer c17, each artifact re-checked
+# against its certificate (layered, or the planar one for c17-1l;
+# repro check exits 1 on any non-INFO finding), then a small layer
 # sweep through the bench harness.
 SYNTH3D_TMP ?= .synth3d-smoke
 synth3d-smoke:
 	mkdir -p $(SYNTH3D_TMP)
+	$(PYTHON) -m repro synth examples/circuits/c17.v --layers 1 \
+	  --json $(SYNTH3D_TMP)/c17-1l.json
 	$(PYTHON) -m repro synth examples/circuits/c17.v --layers 2 \
 	  --json $(SYNTH3D_TMP)/c17-2l.json
 	$(PYTHON) -m repro synth examples/circuits/maj3.pla --layers 2 \
 	  --json $(SYNTH3D_TMP)/maj3-2l.json
+	$(PYTHON) -m repro check $(SYNTH3D_TMP)/c17-1l.json --json
 	$(PYTHON) -m repro check $(SYNTH3D_TMP)/c17-2l.json --json
 	$(PYTHON) -m repro check $(SYNTH3D_TMP)/maj3-2l.json --json
 	$(PYTHON) -m repro bench perf --circuits c17,voter9 --layer-sweep 1,2 \

@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--no-validate", action="store_true", help="skip the equivalence check")
     synth.add_argument("--render", action="store_true", help="print the crossbar grid")
     synth.add_argument("--json", metavar="PATH", help="write the design as JSON")
-    synth.add_argument("--spice", metavar="PATH", help="write a SPICE deck (all-ones assignment)")
+    synth.add_argument("--spice", metavar="PATH",
+                       help="write a SPICE deck (all-ones assignment; planar, --layers 1)")
 
     report = sub.add_parser("report", help="circuit + BDD statistics")
     report.add_argument("circuit")
@@ -567,6 +568,8 @@ def _finish_synth(result: dict, args, include_time: bool) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.spice and args.layers > 1:
+        raise _usage_error("--spice writes a planar deck; it needs --layers 1")
     result = _execute_or_exit("synth", _synth_params(args))
     if "__error__" in result:
         print(f"repro: error: {result['__error__']['message']}", file=sys.stderr)
@@ -740,9 +743,12 @@ def _cmd_bench_perf(args) -> int:
         write_bench_json,
     )
 
-    names = None
-    if args.circuits:
-        names = [n.strip() for n in args.circuits.split(",") if n.strip()]
+    from .bench.suites import suite
+
+    names = _circuit_names(args.circuits)
+    unknown = sorted(set(names or ()) - {b.name for b in suite("full")})
+    if unknown:
+        raise _usage_error(f"unknown suite circuits: {', '.join(unknown)}")
     layers = None
     if args.layer_sweep:
         try:
@@ -775,9 +781,7 @@ def _cmd_bench_perf(args) -> int:
 def _cmd_bench_yield(args) -> int:
     from .robust import render_yield_table, yield_comparison
 
-    names = None
-    if args.circuits:
-        names = [n.strip() for n in args.circuits.split(",") if n.strip()]
+    names = _circuit_names(args.circuits)
     try:
         results = yield_comparison(
             tier=args.tier,
@@ -795,6 +799,16 @@ def _cmd_bench_yield(args) -> int:
         raise _usage_error(str(exc)) from exc
     print(render_yield_table(results).render())
     return 0
+
+
+def _circuit_names(spec: str | None) -> list[str] | None:
+    """``--circuits`` as a name list (None: the whole tier); exit 2 if it names none."""
+    if spec is None:
+        return None
+    names = [n.strip() for n in spec.split(",") if n.strip()]
+    if not names:
+        raise _usage_error(f"--circuits names no circuit: {spec!r}")
+    return names
 
 
 def _resolve_jobs(jobs: int | None) -> int:

@@ -5,7 +5,6 @@ from .constrained import ConstraintInfeasibleError, label_constrained
 from .klabel import KLabel, KLabeling, assign_planes, lift_labeling
 from .labeling import Label, LabelingError, VHLabeling
 from .mapping import map_to_crossbar
-from .mapping3d import map_to_crossbar3d
 from .preprocess import BddGraph, preprocess
 from .semiperimeter import label_heuristic, label_min_semiperimeter
 from .tiling import TiledDesign, partition_outputs, tile_netlist
@@ -26,7 +25,6 @@ __all__ = [
     "KLabeling",
     "assign_planes",
     "lift_labeling",
-    "map_to_crossbar3d",
     "preprocess",
     "BddGraph",
     "label_min_semiperimeter",

@@ -27,12 +27,15 @@ from ..perf import StageTimer
 from .klabel import KLabeling, assign_planes
 from .labeling import VHLabeling
 from .mapping import map_to_crossbar
-from .mapping3d import map_to_crossbar3d
 from .preprocess import BddGraph, preprocess
 from .semiperimeter import label_heuristic, label_min_semiperimeter
 from .weighted import label_weighted
 
 __all__ = ["Compact", "CompactResult"]
+
+#: The one mapper under its former layered name, kept for callers that
+#: still look it up on this module.
+map_to_crossbar3d = map_to_crossbar
 
 
 @dataclass
@@ -102,12 +105,9 @@ class Compact:
         sides across same-orientation planes, which can only shrink the
         footprint semiperimeter.
     plane_method:
-        Stage-2 plane-assignment solver for ``layers >= 2``:
-        ``"auto"`` (fold + the exact MILP on graphs up to
-        :data:`~repro.core.klabel.MILP_NODE_LIMIT` nodes), ``"fold"``
-        (heuristic only), ``"milp"`` (monolithic MILP regardless of
-        size) or ``"decomposed-milp"`` (kernelized MILP — lifts the
-        node-count ceiling).  Ignored for planar synthesis.
+        ``"auto"`` or ``"decomposed-milp"``; both name the one stage-2
+        plane solver (:func:`~repro.core.klabel.assign_planes`), and
+        any other value is rejected.
     """
 
     def __init__(
@@ -210,14 +210,15 @@ class Compact:
     def _label_and_map(
         self, bdd_graph: BddGraph, name: str, timer: StageTimer
     ) -> tuple[CrossbarDesign, VHLabeling | KLabeling]:
-        """The labeling + mapping tail, planar or layered per ``self.layers``.
+        """The labeling + mapping tail for ``self.layers`` memristor layers.
 
         The layered flow is the two-stage solve: the configured 2D
         labeling finds the stitch set and side bipartition (its exact
         OCT is still exact for every layer count — odd cycles force
         stitches regardless of which plane each node lands on), then
         :func:`~repro.core.klabel.assign_planes` spreads each side over
-        the same-orientation planes.
+        the same-orientation planes.  A planar run keeps the stage-1
+        labeling, which the mapper lifts onto one layer.
         """
         with timer.stage("labeling"):
             labeling: VHLabeling | KLabeling = self.label(bdd_graph)
@@ -233,16 +234,11 @@ class Compact:
                     time_limit=self.time_limit,
                 )
         with timer.stage("mapping"):
-            if self.layers > 1:
-                design: CrossbarDesign = map_to_crossbar3d(
-                    bdd_graph, labeling, name=name
-                )
-            else:
-                design = map_to_crossbar(bdd_graph, labeling, name=name)
+            design = map_to_crossbar(bdd_graph, labeling, name=name)
         return design, labeling
 
     # -- labeling dispatch ---------------------------------------------------------
-    def label(self, bdd_graph: BddGraph, trace_callback=None) -> VHLabeling:
+    def label(self, bdd_graph: BddGraph) -> VHLabeling:
         """Run the configured VH-labeling method on a BDD graph."""
         if len(bdd_graph.graph) == 0:
             return VHLabeling({}, meta={"method": "empty", "optimal": True})
@@ -256,7 +252,6 @@ class Compact:
                 alignment=self.alignment,
                 backend=self.backend,
                 time_limit=self.time_limit,
-                trace_callback=trace_callback,
                 jobs=self.jobs,
             )
             if self.method == "auto" and labeling.meta.get("promoted_ports"):
@@ -298,5 +293,4 @@ class Compact:
             backend=self.backend,
             time_limit=self.time_limit,
             warm_start=warm if self.backend == "bnb" else None,
-            trace_callback=trace_callback,
         )

@@ -17,10 +17,10 @@ Two refinements on top of the plain reduction:
   :func:`repro.graphs.oct.aligned_odd_cycle_transversal` finds the
   minimum transversal among labelings that can put every surviving port
   on a wordline, so its ``optimal`` flag covers the aligned problem.
-  The inexact engines (greedy, iterative compression) still repair
-  afterwards: ports stuck in opposite color classes of one component
-  are promoted to VH (Eq. 7 allows ``x_i^V`` to also be set), which
-  keeps validity at the smallest local cost.
+  The greedy engine still repairs afterwards: ports stuck in opposite
+  color classes of one component are promoted to VH (Eq. 7 allows
+  ``x_i^V`` to also be set), which keeps validity at the smallest local
+  cost.
 """
 
 from __future__ import annotations
@@ -44,52 +44,37 @@ def label_min_semiperimeter(
     alignment: bool = True,
     backend: str = "highs",
     time_limit: float | None = None,
-    trace_callback=None,
-    algorithm: str = "vertex_cover",
     jobs: int = 1,
 ) -> VHLabeling:
     """Solve the VH-labeling problem for minimal semiperimeter.
 
-    ``algorithm`` selects the exact OCT engine: ``"vertex_cover"`` is
-    the paper's Lemma 1 pipeline (minimum vertex cover of ``G □ K2``,
-    ILP-backed, solved per cyclic core and alignment-exact);
-    ``"compression"`` runs the Reed–Smith–Vetta iterative compression
-    (FPT in the transversal size, useful when the optimum is small and
-    the ILP struggles), with alignment repaired by port promotion.
-    ``jobs > 1`` lets the vertex-cover engine solve independent cores
-    and kernel components in parallel threads.  With a ``time_limit``
-    the vertex-cover search may stop early and the result is valid but
-    possibly non-minimal — ``meta['optimal']`` reports which.
+    The exact OCT engine is the paper's Lemma 1 pipeline (minimum
+    vertex cover of ``G □ K2``, ILP-backed, solved per cyclic core and
+    alignment-exact).  ``jobs > 1`` solves independent cores and kernel
+    components in parallel threads.  With a ``time_limit`` the search
+    may stop early and the result is valid but possibly non-minimal —
+    ``meta['optimal']`` reports which.
     """
     t0 = time.perf_counter()
     exact_alignment = False
-    if algorithm == "vertex_cover":
-        if alignment:
-            oct_result = aligned_odd_cycle_transversal(
-                bdd_graph.graph,
-                bdd_graph.port_nodes(),
-                backend=backend,
-                time_limit=time_limit,
-                trace_callback=trace_callback,
-                jobs=jobs,
-            )
-            # The transversal is minimal over aligned labelings, so the
-            # repair step below never fires when the solve completed.
-            exact_alignment = oct_result.optimal
-        else:
-            oct_result = odd_cycle_transversal(
-                bdd_graph.graph,
-                backend=backend,
-                time_limit=time_limit,
-                trace_callback=trace_callback,
-                jobs=jobs,
-            )
-    elif algorithm == "compression":
-        from ..graphs import oct_iterative_compression
-
-        oct_result = oct_iterative_compression(bdd_graph.graph)
+    if alignment:
+        oct_result = aligned_odd_cycle_transversal(
+            bdd_graph.graph,
+            bdd_graph.port_nodes(),
+            backend=backend,
+            time_limit=time_limit,
+            jobs=jobs,
+        )
+        # The transversal is minimal over aligned labelings, so the
+        # repair step below never fires when the solve completed.
+        exact_alignment = oct_result.optimal
     else:
-        raise ValueError(f"unknown OCT algorithm {algorithm!r}")
+        oct_result = odd_cycle_transversal(
+            bdd_graph.graph,
+            backend=backend,
+            time_limit=time_limit,
+            jobs=jobs,
+        )
     oct_seconds = time.perf_counter() - t0
     return _labeling_from_oct(
         bdd_graph, oct_result, alignment,

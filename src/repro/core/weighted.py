@@ -70,7 +70,6 @@ def label_weighted(
     backend: str = "highs",
     time_limit: float | None = None,
     warm_start: VHLabeling | None = None,
-    trace_callback=None,
 ) -> VHLabeling:
     """Solve the VH-labeling problem for ``gamma*S + (1-gamma)*D``.
 
@@ -87,7 +86,6 @@ def label_weighted(
         backend=backend,
         time_limit=time_limit,
         initial_solution=initial,
-        trace_callback=trace_callback,
     )
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
         if warm_start is not None:

@@ -3,7 +3,7 @@
 from .analog import AnalogParams, AnalogResult, simulate
 from .batch import assignments_to_matrix, batch_evaluate, bitset_evaluate
 from .analysis import DesignAnalysis, analyze_design, conducting_depths
-from .design import CrossbarDesign, CrossbarDesign3D, h_plane, v_plane
+from .design import CrossbarDesign, h_plane, v_plane
 from .faults import (
     STUCK_OFF,
     STUCK_ON,
@@ -62,7 +62,6 @@ __all__ = [
     "yield_estimate",
     "random_fault_map",
     "CrossbarDesign",
-    "CrossbarDesign3D",
     "h_plane",
     "v_plane",
     "Lit",

@@ -74,7 +74,7 @@ def simulate(
     cell_i = np.array([r for r, _c, _l in cells], dtype=np.intp)
     cell_j = np.array([c for _r, c, _l in cells], dtype=np.intp) + R
     g = np.where(
-        np.array([(r, c) in on_cells for r, c, _l in cells], dtype=bool),
+        np.array([(0, r, c) in on_cells for r, c, _l in cells], dtype=bool),
         g_on,
         g_off,
     )

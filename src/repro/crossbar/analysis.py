@@ -19,7 +19,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .analog import AnalogParams, simulate
-from .design import CrossbarDesign
+from .design import CrossbarDesign, h_plane, v_plane
 
 __all__ = ["DesignAnalysis", "analyze_design", "conducting_depths"]
 
@@ -53,36 +53,30 @@ def conducting_depths(
 ) -> dict[str, int | None]:
     """Shortest conducting path (in memristor hops) to each output.
 
-    BFS over the row/column connectivity graph; a hop traverses one
+    BFS over the wire connectivity graph; a hop traverses one
     low-resistance cell.  ``None`` when the output is unreachable under
     this assignment.
     """
-    on_cells = design.program(assignment)
-    row_adj: dict[int, list[int]] = {}
-    col_adj: dict[int, list[int]] = {}
-    for r, c in on_cells:
-        row_adj.setdefault(r, []).append(c)
-        col_adj.setdefault(c, []).append(r)
+    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for l, r, c in design.program(assignment):
+        hw, vw = (h_plane(l), r), (v_plane(l), c)
+        adj.setdefault(hw, []).append(vw)
+        adj.setdefault(vw, []).append(hw)
 
-    dist_rows = {design.input_row: 0}
-    dist_cols: dict[int, int] = {}
-    frontier_rows = [design.input_row]
-    depth = 0
-    while frontier_rows:
-        next_rows: list[int] = []
-        for r in frontier_rows:
-            for c in row_adj.get(r, ()):
-                if c not in dist_cols:
-                    dist_cols[c] = dist_rows[r] + 1
-                    for r2 in col_adj.get(c, ()):
-                        if r2 not in dist_rows:
-                            dist_rows[r2] = dist_cols[c] + 1
-                            next_rows.append(r2)
-        frontier_rows = next_rows
-        depth += 1
+    source = (0, design.input_row)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt: list[tuple[int, int]] = []
+        for wire in frontier:
+            for other in adj.get(wire, ()):
+                if other not in dist:
+                    dist[other] = dist[wire] + 1
+                    nxt.append(other)
+        frontier = nxt
 
     return {
-        out: dist_rows.get(row) for out, row in design.output_rows.items()
+        out: dist.get((0, row)) for out, row in design.output_rows.items()
     }
 
 

@@ -111,16 +111,12 @@ def _wire_geometry(
     The layered fixpoint runs over *one* horizontal and *one* vertical
     wire space: the horizontal wire ``(plane 2k, r)`` gets global id
     ``k * num_rows + r`` and the vertical wire ``(plane 2k+1, c)`` gets
-    ``k * num_cols + c``.  On a 1-layer design the ids collapse to the
-    plain row/column indices, so the planar sweep is untouched — the
-    inter-layer adjacency of a K-layer design is carried entirely by its
-    upper-layer cells scattering into higher wire blocks.  Ports always
-    live on plane 0, so output rows keep their ids verbatim.
+    ``k * num_cols + c``.  On a 1-layer design the ids are the plain
+    row/column indices — the inter-layer adjacency of a K-layer design
+    is carried entirely by its upper-layer cells scattering into higher
+    wire blocks.  Ports always live on plane 0, so output rows keep
+    their ids verbatim.
     """
-    if design.num_layers == 1:
-        h_ids = [r for _l, r, _c, _lit in cells]
-        v_ids = [c for _l, _r, c, _lit in cells]
-        return h_ids, v_ids, design.num_rows, max(design.num_cols, 1)
     h_stride = design.num_rows
     v_stride = max(design.num_cols, 1)
     h_ids = [(h_plane(l) // 2) * h_stride + r for l, r, _c, _lit in cells]

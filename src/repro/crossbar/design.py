@@ -1,20 +1,23 @@
 """Crossbar designs for flow-based computing.
 
-A :class:`CrossbarDesign` is the artifact COMPACT synthesizes: a grid of
+A :class:`CrossbarDesign` is the artifact COMPACT synthesizes: a stack of
 programmed memristor cells, an input port (the bottom-most wordline,
 where ``V_in`` is applied) and one output port per function output (a
 wordline with a sense resistor).  Evaluation is by sneak-path
 connectivity: an output reads true iff a path of low-resistance
 memristors connects it to the input wordline.
+
+The paper's planar crossbar is the 1-layer case; stacking K memristor
+layers (the FLOW-3D fabric) uses the same class.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .literals import OFF, Lit
 
-__all__ = ["CrossbarDesign", "CrossbarDesign3D", "h_plane", "v_plane"]
+__all__ = ["CrossbarDesign", "h_plane", "v_plane"]
 
 
 def h_plane(layer: int) -> int:
@@ -34,123 +37,176 @@ def v_plane(layer: int) -> int:
 
 
 class CrossbarDesign:
-    """A programmed memristor crossbar with input/output ports.
+    """A K-layer memristor crossbar with input/output ports.
+
+    K memristor layers sandwich K+1 nanowire planes; even planes run
+    horizontally, odd planes vertically, and the cells of layer ``l``
+    join a wire on plane ``l`` to one on plane ``l+1``.  Cells are
+    addressed ``(layer, row, col)`` where ``row`` indexes the wordline
+    on :func:`h_plane` of the layer and ``col`` the bitline on
+    :func:`v_plane`.  The chip footprint — and therefore the
+    semiperimeter the paper minimizes — is set by the *largest*
+    horizontal and vertical planes, which is why spreading wires over
+    more planes shrinks ``S``.
+
+    The paper's planar crossbar is ``plane_sizes=(rows, cols)``.  For it,
+    :meth:`cell`, :meth:`set_cell`, :meth:`cells`, :meth:`permuted` and
+    :meth:`to_grid` address cells by ``(row, col)``; on K >= 2 they
+    raise rather than silently drop the upper layers.
 
     Parameters
     ----------
     name:
         Design name (usually the circuit name).
-    num_rows, num_cols:
-        Wordline and bitline counts.
+    plane_sizes:
+        Wire count per nanowire plane, bottom-up (at least two planes).
     input_row:
-        Row index where the evaluation voltage is applied.
+        Plane-0 wordline where the evaluation voltage is applied.
     output_rows:
-        Mapping from output name to the sensed row index.
+        Mapping from output name to its sensed plane-0 wordline; the
+        ports all live on plane 0.
     constant_outputs:
         Outputs that are constant functions and have no sensed row
         (value reported directly by :meth:`evaluate`).
     """
 
-    #: Memristor layer count.  The planar design has exactly one;
-    #: :class:`CrossbarDesign3D` overrides this with a property.
-    num_layers: int = 1
-
     def __init__(
         self,
         name: str,
-        num_rows: int,
-        num_cols: int,
+        plane_sizes: Iterable[int],
         input_row: int,
         output_rows: Mapping[str, int],
         constant_outputs: Mapping[str, bool] | None = None,
     ):
-        if num_rows < 1:
-            raise ValueError("a crossbar needs at least one wordline")
-        if not (0 <= input_row < num_rows):
-            raise ValueError("input row out of range")
+        sizes = tuple(int(s) for s in plane_sizes)
+        if len(sizes) < 2:
+            raise ValueError(
+                "a crossbar needs at least two nanowire planes (one memristor layer)"
+            )
+        if any(s < 0 for s in sizes):
+            raise ValueError(f"negative plane size in {sizes}")
+        if sizes[0] < 1:
+            raise ValueError("plane 0 needs at least one wordline (the ports live there)")
+        if not (0 <= input_row < sizes[0]):
+            raise ValueError(f"input row {input_row} outside plane 0 ({sizes[0]} wires)")
         for out, row in output_rows.items():
-            if not (0 <= row < num_rows):
-                raise ValueError(f"output {out!r} row {row} out of range")
+            if not (0 <= row < sizes[0]):
+                raise ValueError(
+                    f"output {out!r} row {row} outside plane 0 ({sizes[0]} wires)"
+                )
         self.name = name
-        self.num_rows = num_rows
-        self.num_cols = num_cols
         self.input_row = input_row
         self.output_rows = dict(output_rows)
         self.constant_outputs = dict(constant_outputs or {})
-        self._cells: dict[tuple[int, int], Lit] = {}
-        #: Optional annotations: which BDD node each line realises.
-        self.row_labels: dict[int, object] = {}
-        self.col_labels: dict[int, object] = {}
+        self._plane_sizes = sizes
+        self._cells: dict[tuple[int, int, int], Lit] = {}
+        #: Optional annotations per plane: which BDD node each wire realises.
+        self.plane_labels: list[dict[int, object]] = [{} for _ in sizes]
+        #: Synthesis provenance (certificate bounds, solver flags) — a
+        #: plain scalar dict carried through layered JSON round-trips;
+        #: empty for hand-built designs.
+        self.meta: dict = {}
 
-    # -- programming ------------------------------------------------------------
-    def set_cell(self, row: int, col: int, lit: Lit) -> None:
-        """Program one crosspoint; re-programming a cell is an error."""
-        if not (0 <= row < self.num_rows and 0 <= col < self.num_cols):
-            raise IndexError(f"cell ({row}, {col}) outside {self.num_rows}x{self.num_cols}")
-        existing = self._cells.get((row, col))
-        if existing is not None and existing != lit:
-            raise ValueError(
-                f"cell ({row}, {col}) already programmed with {existing} (new: {lit})"
-            )
-        if lit != OFF:
-            self._cells[(row, col)] = lit
+    # -- geometry ------------------------------------------------------------------
+    @property
+    def num_layers(self) -> int:
+        """Memristor layer count (K)."""
+        return len(self._plane_sizes) - 1
 
-    def cell(self, row: int, col: int) -> Lit:
-        """The programmed literal at a crosspoint (OFF if untouched)."""
-        return self._cells.get((row, col), OFF)
-
-    def cells(self) -> Iterable[tuple[int, int, Lit]]:
-        """All non-OFF cells as ``(row, col, literal)``."""
-        for (r, c), lit in self._cells.items():
-            yield r, c, lit
-
-    # -- layered view (uniform across 2D and 3D designs) --------------------------
     @property
     def plane_sizes(self) -> tuple[int, ...]:
-        """Wire count per nanowire plane, bottom-up (here: rows, cols)."""
-        return (self.num_rows, self.num_cols)
+        """Wire count per nanowire plane, bottom-up."""
+        return self._plane_sizes
 
     @property
-    def plane_labels(self) -> list[dict[int, object]]:
-        """Per-plane line/node annotations (here: row then col labels)."""
-        return [self.row_labels, self.col_labels]
+    def num_rows(self) -> int:
+        """Wordlines of the widest horizontal plane (the footprint rows)."""
+        return max(self._plane_sizes[0::2])
 
+    @property
+    def num_cols(self) -> int:
+        """Bitlines of the widest vertical plane (the footprint cols)."""
+        return max(self._plane_sizes[1::2])
+
+    @property
+    def row_labels(self) -> dict[int, object]:
+        """Plane-0 (wordline) annotations."""
+        return self.plane_labels[0]
+
+    @property
+    def col_labels(self) -> dict[int, object]:
+        """Plane-1 (bitline) annotations."""
+        return self.plane_labels[1]
+
+    def _check_site(self, layer: int, row: int, col: int) -> None:
+        if not (0 <= layer < self.num_layers):
+            raise IndexError(f"layer {layer} outside this {self.num_layers}-layer crossbar")
+        rows = self._plane_sizes[h_plane(layer)]
+        cols = self._plane_sizes[v_plane(layer)]
+        if not (0 <= row < rows and 0 <= col < cols):
+            raise IndexError(
+                f"cell ({layer}, {row}, {col}) outside the layer's "
+                f"{rows}x{cols} wire planes"
+            )
+
+    def _require_planar(self, instead: str) -> None:
+        if self.num_layers != 1:
+            raise TypeError(
+                f"design {self.name!r} has {self.num_layers} memristor layers; {instead}"
+            )
+
+    # -- programming ------------------------------------------------------------
     def set_cell3(self, layer: int, row: int, col: int, lit: Lit) -> None:
-        """Program one crosspoint by full ``(layer, row, col)`` coordinate."""
-        if layer != 0:
-            raise IndexError(f"layer {layer} outside this 1-layer crossbar")
-        self.set_cell(row, col, lit)
+        """Program one crosspoint; re-programming a cell is an error."""
+        self._check_site(layer, row, col)
+        existing = self._cells.get((layer, row, col))
+        if existing is not None and existing != lit:
+            raise ValueError(
+                f"cell ({layer}, {row}, {col}) already programmed with "
+                f"{existing} (new: {lit})"
+            )
+        if lit != OFF:
+            self._cells[(layer, row, col)] = lit
 
     def cell3(self, layer: int, row: int, col: int) -> Lit:
-        """The programmed literal at a ``(layer, row, col)`` crosspoint."""
-        if layer != 0:
-            raise IndexError(f"layer {layer} outside this 1-layer crossbar")
-        return self.cell(row, col)
+        """The programmed literal at a crosspoint (OFF if untouched)."""
+        self._check_site(layer, row, col)
+        return self._cells.get((layer, row, col), OFF)
 
-    def cells3d(self) -> Iterable[tuple[int, int, int, Lit]]:
-        """All non-OFF cells as ``(layer, row, col, literal)``.
+    def cells3d(self) -> Iterator[tuple[int, int, int, Lit]]:
+        """All non-OFF cells as ``(layer, row, col, literal)``."""
+        for (l, r, c), lit in self._cells.items():
+            yield l, r, c, lit
 
-        The layered twin of :meth:`cells`; yields the cells in the same
-        order, so code ported from ``cells()`` to ``cells3d()`` sees an
-        identical sequence on planar designs.
-        """
-        for (r, c), lit in self._cells.items():
-            yield 0, r, c, lit
+    def set_cell(self, row: int, col: int, lit: Lit) -> None:
+        """:meth:`set_cell3` on the only layer of a planar design."""
+        self._require_planar("use set_cell3(layer, row, col, lit)")
+        self.set_cell3(0, row, col, lit)
+
+    def cell(self, row: int, col: int) -> Lit:
+        """The literal at ``(row, col)`` of a planar design (OFF if untouched)."""
+        self._require_planar("use cell3(layer, row, col)")
+        return self._cells.get((0, row, col), OFF)
+
+    def cells(self) -> Iterator[tuple[int, int, Lit]]:
+        """All non-OFF cells of a planar design as ``(row, col, literal)``."""
+        self._require_planar("iterate cells3d() so no layer is silently dropped")
+        return ((r, c, lit) for (_l, r, c), lit in self._cells.items())
 
     # -- metrics (the paper's hardware-utilisation quantities) --------------------
     @property
     def semiperimeter(self) -> int:
-        """Rows + columns (the paper's ``S``)."""
+        """Rows + columns of the footprint (the paper's ``S``)."""
         return self.num_rows + self.num_cols
 
     @property
     def max_dimension(self) -> int:
-        """max(rows, columns) (the paper's ``D``)."""
+        """max(rows, columns) of the footprint (the paper's ``D``)."""
         return max(self.num_rows, self.num_cols)
 
     @property
     def area(self) -> int:
-        """Rows x columns."""
+        """Footprint rows x columns."""
         return self.num_rows * self.num_cols
 
     @property
@@ -165,283 +221,8 @@ class CrossbarDesign:
 
     @property
     def via_count(self) -> int:
-        """Always-on stitch cells (inter-plane vias on layered designs)."""
-        return sum(
-            1 for lit in self._cells.values()
-            if lit.is_constant() and lit.positive
-        )
-
-    @property
-    def delay_steps(self) -> int:
-        """Evaluation time steps: one write per wordline plus one read."""
-        return self.num_rows + 1
-
-    # -- evaluation -----------------------------------------------------------------
-    def program(self, assignment: Mapping[str, bool]) -> set[tuple[int, int]]:
-        """Crosspoints in the low-resistive state under ``assignment``."""
-        return {
-            rc for rc, lit in self._cells.items() if lit.evaluate(assignment)
-        }
-
-    def evaluate(self, assignment: Mapping[str, bool]) -> dict[str, bool]:
-        """Flow-based evaluation of every output under ``assignment``.
-
-        Breadth-first search over the row/column bipartite connectivity
-        graph induced by the low-resistance cells, starting at the input
-        wordline.
-        """
-        return self.flow_outputs(self.program(assignment))
-
-    def flow_outputs(self, on_cells: set[tuple[int, int]]) -> dict[str, bool]:
-        """Output values given the set of conducting crosspoints.
-
-        The fault evaluator shares this with :meth:`evaluate`: it edits
-        the conducting set (shorting stuck-on sites, clearing stuck-off
-        ones) before running the same flow search.
-        """
-        row_adj: dict[int, list[int]] = {}
-        col_adj: dict[int, list[int]] = {}
-        for r, c in on_cells:
-            row_adj.setdefault(r, []).append(c)
-            col_adj.setdefault(c, []).append(r)
-
-        reached_rows = {self.input_row}
-        reached_cols: set[int] = set()
-        frontier_rows = [self.input_row]
-        while frontier_rows:
-            next_rows: list[int] = []
-            for r in frontier_rows:
-                for c in row_adj.get(r, ()):
-                    if c not in reached_cols:
-                        reached_cols.add(c)
-                        for r2 in col_adj.get(c, ()):
-                            if r2 not in reached_rows:
-                                reached_rows.add(r2)
-                                next_rows.append(r2)
-            frontier_rows = next_rows
-
-        result = {
-            out: row in reached_rows for out, row in self.output_rows.items()
-        }
-        result.update(self.constant_outputs)
-        return result
-
-    # -- remapping ------------------------------------------------------------------
-    def permuted(
-        self,
-        row_map: Mapping[int, int],
-        col_map: Mapping[int, int],
-        num_rows: int | None = None,
-        num_cols: int | None = None,
-        name: str | None = None,
-    ) -> "CrossbarDesign":
-        """A copy with wordlines/bitlines relocated onto a physical array.
-
-        ``row_map``/``col_map`` send every logical line of this design to
-        a distinct physical line; ``num_rows``/``num_cols`` (default: this
-        design's dimensions) may be larger, leaving spare lines
-        unprogrammed.  Used by :mod:`repro.robust` to route around
-        stuck-at defects.
-        """
-        num_rows = self.num_rows if num_rows is None else num_rows
-        num_cols = self.num_cols if num_cols is None else num_cols
-        for kind, mapping, logical, physical in (
-            ("row", row_map, self.num_rows, num_rows),
-            ("column", col_map, self.num_cols, num_cols),
-        ):
-            missing = [i for i in range(logical) if i not in mapping]
-            if missing:
-                raise ValueError(f"{kind} map misses logical {kind}s {missing}")
-            images = [mapping[i] for i in range(logical)]
-            if len(set(images)) != len(images):
-                raise ValueError(f"{kind} map is not injective")
-            bad = [i for i in images if not (0 <= i < physical)]
-            if bad:
-                raise ValueError(f"{kind} map targets out-of-range lines {bad}")
-
-        out = CrossbarDesign(
-            name if name is not None else self.name,
-            num_rows=num_rows,
-            num_cols=num_cols,
-            input_row=row_map[self.input_row],
-            output_rows={o: row_map[r] for o, r in self.output_rows.items()},
-            constant_outputs=self.constant_outputs,
-        )
-        for r, c, lit in self.cells():
-            out.set_cell(row_map[r], col_map[c], lit)
-        out.row_labels = {row_map[r]: v for r, v in self.row_labels.items() if r in row_map}
-        out.col_labels = {col_map[c]: v for c, v in self.col_labels.items() if c in col_map}
-        return out
-
-    # -- presentation ---------------------------------------------------------------
-    def to_grid(self) -> list[list[str]]:
-        """The design as a row-major grid of cell strings ('0' for OFF)."""
-        return [
-            [str(self.cell(r, c)) for c in range(self.num_cols)]
-            for r in range(self.num_rows)
-        ]
-
-    def render(self) -> str:
-        """ASCII rendering with port markers, for docs and debugging."""
-        grid = self.to_grid()
-        width = max((len(s) for row in grid for s in row), default=1)
-        out_marks = {row: name for name, row in self.output_rows.items()}
-        lines = []
-        for r, row in enumerate(grid):
-            marks = []
-            if r == self.input_row:
-                marks.append("<- Vin")
-            if r in out_marks:
-                marks.append(f"-> {out_marks[r]}")
-            body = " ".join(s.rjust(width) for s in row)
-            suffix = ("  " + ", ".join(marks)) if marks else ""
-            lines.append(body + suffix)
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"CrossbarDesign({self.name!r}, {self.num_rows}x{self.num_cols}, "
-            f"S={self.semiperimeter}, D={self.max_dimension}, "
-            f"memristors={self.memristor_count})"
-        )
-
-
-class CrossbarDesign3D(CrossbarDesign):
-    """A K-layer memristor crossbar (the FLOW-3D fabric).
-
-    K memristor layers sandwich K+1 nanowire planes; even planes run
-    horizontally, odd planes vertically, and the cells of layer ``l``
-    join a wire on plane ``l`` to one on plane ``l+1``.  Cells are
-    addressed ``(layer, row, col)`` where ``row`` indexes the wordline
-    on :func:`h_plane` of the layer and ``col`` the bitline on
-    :func:`v_plane`.  The chip footprint — and therefore the
-    semiperimeter the paper minimizes — is set by the *largest*
-    horizontal and vertical planes, which is why spreading wires over
-    more planes shrinks ``S``.
-
-    The input port and all output ports live on plane 0 (the bottom
-    wordline plane), matching the 2D alignment convention.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        plane_sizes: Iterable[int],
-        input_row: int,
-        output_rows: Mapping[str, int],
-        constant_outputs: Mapping[str, bool] | None = None,
-    ):
-        sizes = tuple(int(s) for s in plane_sizes)
-        if len(sizes) < 2:
-            raise ValueError(
-                "a 3D crossbar needs at least two nanowire planes (one memristor layer)"
-            )
-        if any(s < 0 for s in sizes):
-            raise ValueError(f"negative plane size in {sizes}")
-        if sizes[0] < 1:
-            raise ValueError("plane 0 needs at least one wordline (the ports live there)")
-        if not (0 <= input_row < sizes[0]):
-            raise ValueError(f"input row {input_row} outside plane 0 ({sizes[0]} wires)")
-        for out, row in output_rows.items():
-            if not (0 <= row < sizes[0]):
-                raise ValueError(
-                    f"output {out!r} row {row} outside plane 0 ({sizes[0]} wires)"
-                )
-        super().__init__(
-            name,
-            num_rows=max(sizes[0::2]),
-            num_cols=max(sizes[1::2], default=0),
-            input_row=input_row,
-            output_rows=output_rows,
-            constant_outputs=constant_outputs,
-        )
-        self._plane_sizes = sizes
-        self._cells3d: dict[tuple[int, int, int], Lit] = {}
-        self._plane_labels: list[dict[int, object]] = [{} for _ in sizes]
-        #: Synthesis provenance (certificate bounds, solver flags) — a
-        #: plain scalar dict carried through JSON round-trips; empty
-        #: for hand-built designs.
-        self.meta: dict = {}
-        # The 2D label dicts alias planes 0/1 so generic row/col
-        # introspection keeps working on the bottom layer.
-        self.row_labels = self._plane_labels[0]
-        self.col_labels = self._plane_labels[1]
-
-    # -- geometry ------------------------------------------------------------------
-    @property
-    def num_layers(self) -> int:  # type: ignore[override]
-        return len(self._plane_sizes) - 1
-
-    @property
-    def plane_sizes(self) -> tuple[int, ...]:
-        return self._plane_sizes
-
-    @property
-    def plane_labels(self) -> list[dict[int, object]]:
-        return self._plane_labels
-
-    def _check_site(self, layer: int, row: int, col: int) -> None:
-        if not (0 <= layer < self.num_layers):
-            raise IndexError(f"layer {layer} outside this {self.num_layers}-layer crossbar")
-        rows = self._plane_sizes[h_plane(layer)]
-        cols = self._plane_sizes[v_plane(layer)]
-        if not (0 <= row < rows and 0 <= col < cols):
-            raise IndexError(
-                f"cell ({layer}, {row}, {col}) outside the layer's "
-                f"{rows}x{cols} wire planes"
-            )
-
-    # -- programming ------------------------------------------------------------
-    def set_cell3(self, layer: int, row: int, col: int, lit: Lit) -> None:
-        self._check_site(layer, row, col)
-        existing = self._cells3d.get((layer, row, col))
-        if existing is not None and existing != lit:
-            raise ValueError(
-                f"cell ({layer}, {row}, {col}) already programmed with "
-                f"{existing} (new: {lit})"
-            )
-        if lit != OFF:
-            self._cells3d[(layer, row, col)] = lit
-
-    def cell3(self, layer: int, row: int, col: int) -> Lit:
-        self._check_site(layer, row, col)
-        return self._cells3d.get((layer, row, col), OFF)
-
-    def cells3d(self) -> Iterable[tuple[int, int, int, Lit]]:
-        for (l, r, c), lit in self._cells3d.items():
-            yield l, r, c, lit
-
-    def set_cell(self, row: int, col: int, lit: Lit) -> None:
-        raise TypeError(
-            f"design {self.name!r} has {self.num_layers} memristor layers; "
-            "use set_cell3(layer, row, col, lit)"
-        )
-
-    def cell(self, row: int, col: int) -> Lit:
-        raise TypeError(
-            f"design {self.name!r} has {self.num_layers} memristor layers; "
-            "use cell3(layer, row, col)"
-        )
-
-    def cells(self) -> Iterable[tuple[int, int, Lit]]:
-        raise TypeError(
-            f"design {self.name!r} has {self.num_layers} memristor layers; "
-            "iterate cells3d() so no layer is silently dropped"
-        )
-
-    # -- metrics ------------------------------------------------------------------
-    @property
-    def memristor_count(self) -> int:
-        return len(self._cells3d)
-
-    @property
-    def literal_count(self) -> int:
-        return sum(1 for lit in self._cells3d.values() if not lit.is_constant())
-
-    @property
-    def via_count(self) -> int:
         """Always-on cells stitching one node's wires on adjacent planes."""
-        return sum(1 for lit in self._cells3d.values() if lit.is_constant() and lit.positive)
+        return sum(1 for lit in self._cells.values() if lit.is_constant() and lit.positive)
 
     @property
     def delay_steps(self) -> int:
@@ -449,18 +230,25 @@ class CrossbarDesign3D(CrossbarDesign):
         return sum(self._plane_sizes[0::2]) + 1
 
     # -- evaluation -----------------------------------------------------------------
-    def program(self, assignment: Mapping[str, bool]) -> set[tuple[int, int, int]]:  # type: ignore[override]
+    def program(self, assignment: Mapping[str, bool]) -> set[tuple[int, int, int]]:
         """Conducting crosspoints (``(layer, row, col)``) under ``assignment``."""
         return {
-            site for site, lit in self._cells3d.items() if lit.evaluate(assignment)
+            site for site, lit in self._cells.items() if lit.evaluate(assignment)
         }
 
-    def flow_outputs(self, on_cells: set[tuple[int, int, int]]) -> dict[str, bool]:  # type: ignore[override]
+    def evaluate(self, assignment: Mapping[str, bool]) -> dict[str, bool]:
+        """Flow-based evaluation of every output under ``assignment``."""
+        return self.flow_outputs(self.program(assignment))
+
+    def flow_outputs(self, on_cells: set[tuple[int, int, int]]) -> dict[str, bool]:
         """Output values given the conducting sites, by wire-level BFS.
 
         Wires are ``(plane, index)`` pairs; each conducting cell joins
         its layer's horizontal and vertical wire, which is also how flow
-        crosses between layers (through wires shared via stitches).
+        crosses between layers (through wires shared via stitches).  The
+        fault evaluator shares this with :meth:`evaluate`: it edits the
+        conducting set (shorting stuck-on sites, clearing stuck-off ones)
+        before running the same flow search.
         """
         adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for l, r, c in on_cells:
@@ -488,40 +276,91 @@ class CrossbarDesign3D(CrossbarDesign):
         return result
 
     # -- remapping ------------------------------------------------------------------
-    def permuted(self, row_map, col_map, num_rows=None, num_cols=None, name=None):
-        raise ValueError(
-            f"design {self.name!r} has {self.num_layers} memristor layers; "
-            "defect-aware line permutation is only defined for planar designs"
+    def permuted(
+        self,
+        row_map: Mapping[int, int],
+        col_map: Mapping[int, int],
+        num_rows: int | None = None,
+        num_cols: int | None = None,
+        name: str | None = None,
+    ) -> "CrossbarDesign":
+        """A copy with wordlines/bitlines relocated onto a physical array.
+
+        ``row_map``/``col_map`` send every logical line of this planar
+        design to a distinct physical line; ``num_rows``/``num_cols``
+        (default: this design's dimensions) may be larger, leaving spare
+        lines unprogrammed.  Used by :mod:`repro.robust` to route around
+        stuck-at defects.
+        """
+        if self.num_layers != 1:
+            raise ValueError(
+                f"design {self.name!r} has {self.num_layers} memristor layers; "
+                "defect-aware line permutation is only defined for planar designs"
+            )
+        num_rows = self.num_rows if num_rows is None else num_rows
+        num_cols = self.num_cols if num_cols is None else num_cols
+        for kind, mapping, logical, physical in (
+            ("row", row_map, self.num_rows, num_rows),
+            ("column", col_map, self.num_cols, num_cols),
+        ):
+            missing = [i for i in range(logical) if i not in mapping]
+            if missing:
+                raise ValueError(f"{kind} map misses logical {kind}s {missing}")
+            images = [mapping[i] for i in range(logical)]
+            if len(set(images)) != len(images):
+                raise ValueError(f"{kind} map is not injective")
+            bad = [i for i in images if not (0 <= i < physical)]
+            if bad:
+                raise ValueError(f"{kind} map targets out-of-range lines {bad}")
+
+        out = CrossbarDesign(
+            name if name is not None else self.name,
+            (num_rows, num_cols),
+            input_row=row_map[self.input_row],
+            output_rows={o: row_map[r] for o, r in self.output_rows.items()},
+            constant_outputs=self.constant_outputs,
         )
+        for r, c, lit in self.cells():
+            out.set_cell(row_map[r], col_map[c], lit)
+        for line_map, labels, moved in (
+            (row_map, self.row_labels, out.row_labels),
+            (col_map, self.col_labels, out.col_labels),
+        ):
+            moved.update({line_map[i]: v for i, v in labels.items() if i in line_map})
+        return out
 
     # -- presentation ---------------------------------------------------------------
-    def to_grid(self) -> list[list[str]]:
-        raise TypeError(
-            f"design {self.name!r} has {self.num_layers} memristor layers; "
-            "use to_grids() for the per-layer view"
-        )
-
     def to_grids(self) -> list[list[list[str]]]:
-        """One row-major grid of cell strings per memristor layer."""
+        """One row-major grid of cell strings ('0' for OFF) per memristor layer."""
         grids = []
         for l in range(self.num_layers):
             rows = self._plane_sizes[h_plane(l)]
             cols = self._plane_sizes[v_plane(l)]
             grids.append(
-                [[str(self.cell3(l, r, c)) for c in range(cols)] for r in range(rows)]
+                [[str(self._cells.get((l, r, c), OFF)) for c in range(cols)]
+                 for r in range(rows)]
             )
         return grids
 
+    def to_grid(self) -> list[list[str]]:
+        """The planar design as a row-major grid of cell strings."""
+        self._require_planar("use to_grids() for the per-layer view")
+        return self.to_grids()[0]
+
     def render(self) -> str:
-        """ASCII rendering, one block per layer, ports marked on layer 0."""
+        """ASCII rendering with port markers; one block per layer when K >= 2."""
         grids = self.to_grids()
         width = max((len(s) for g in grids for row in g for s in row), default=1)
+        planar = self.num_layers == 1
         out_marks: dict[int, list[str]] = {}
         for name, row in self.output_rows.items():
-            out_marks.setdefault(row, []).append(f"-> {name}")
+            if planar:  # the planar text names one output per wordline
+                out_marks[row] = [f"-> {name}"]
+            else:
+                out_marks.setdefault(row, []).append(f"-> {name}")
         blocks = []
         for l, grid in enumerate(grids):
-            lines = [f"layer {l} (planes {l}|{l + 1}):"]
+            lines = [] if planar else [f"layer {l} (planes {l}|{l + 1}):"]
             for r, row in enumerate(grid):
                 marks = []
                 if h_plane(l) == 0:
@@ -535,9 +374,15 @@ class CrossbarDesign3D(CrossbarDesign):
         return "\n\n".join(blocks)
 
     def __repr__(self) -> str:
+        if self.num_layers == 1:
+            return (
+                f"CrossbarDesign({self.name!r}, {self.num_rows}x{self.num_cols}, "
+                f"S={self.semiperimeter}, D={self.max_dimension}, "
+                f"memristors={self.memristor_count})"
+            )
         planes = "x".join(str(s) for s in self._plane_sizes)
         return (
-            f"CrossbarDesign3D({self.name!r}, layers={self.num_layers}, "
+            f"CrossbarDesign({self.name!r}, layers={self.num_layers}, "
             f"planes={planes}, footprint {self.num_rows}x{self.num_cols}, "
             f"S={self.semiperimeter}, memristors={self.memristor_count})"
         )

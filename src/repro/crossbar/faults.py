@@ -205,20 +205,13 @@ def _check_fault_bounds(design: CrossbarDesign, faults: Sequence[Fault]) -> None
                 f"fault {fault.kind} at layer {fault.layer} is outside "
                 f"the {design.num_layers}-layer crossbar"
             )
-        if design.num_layers == 1:
-            if not (0 <= fault.row < design.num_rows and 0 <= fault.col < design.num_cols):
-                raise ValueError(
-                    f"fault {fault.kind} at ({fault.row}, {fault.col}) is outside "
-                    f"the {design.num_rows}x{design.num_cols} crossbar"
-                )
-        else:
-            rows = design.plane_sizes[h_plane(fault.layer)]
-            cols = design.plane_sizes[v_plane(fault.layer)]
-            if not (0 <= fault.row < rows and 0 <= fault.col < cols):
-                raise ValueError(
-                    f"fault {fault.kind} at layer {fault.layer} ({fault.row}, "
-                    f"{fault.col}) is outside the layer's {rows}x{cols} wire planes"
-                )
+        rows = design.plane_sizes[h_plane(fault.layer)]
+        cols = design.plane_sizes[v_plane(fault.layer)]
+        if not (0 <= fault.row < rows and 0 <= fault.col < cols):
+            raise ValueError(
+                f"fault {fault.kind} at layer {fault.layer} ({fault.row}, "
+                f"{fault.col}) is outside the layer's {rows}x{cols} wire planes"
+            )
 
 
 def evaluate_with_faults(
@@ -235,17 +228,12 @@ def evaluate_with_faults(
     """
     _check_fault_bounds(design, faults)
     on_cells = design.program(assignment)
-    layered = design.num_layers > 1
     for fault in faults:
-        cell = (
-            (fault.layer, fault.row, fault.col)
-            if layered
-            else (fault.row, fault.col)
-        )
+        site = (fault.layer, fault.row, fault.col)
         if fault.kind == STUCK_ON:
-            on_cells.add(cell)
+            on_cells.add(site)
         else:
-            on_cells.discard(cell)
+            on_cells.discard(site)
     return design.flow_outputs(on_cells)
 
 

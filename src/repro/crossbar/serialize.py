@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .design import CrossbarDesign, CrossbarDesign3D
+from .design import CrossbarDesign
 from .faults import Fault, FaultMap
 from .literals import Lit
 
@@ -39,6 +39,12 @@ def _raise_schema_problems(diagnostics) -> None:
         raise ValueError("; ".join(d.message for d in diagnostics))
 
 
+def _label_text(label: object) -> str:
+    # Strings (labels loaded from JSON) are written as they are, so a
+    # load/save round trip is a fixed point; node ids go through repr().
+    return label if isinstance(label, str) else repr(label)
+
+
 def design_to_json(design: CrossbarDesign, indent: int | None = None) -> str:
     """Serialise ``design`` (cells, ports, labels) to a JSON string.
 
@@ -48,91 +54,61 @@ def design_to_json(design: CrossbarDesign, indent: int | None = None) -> str:
     a ``layer`` coordinate on every cell and (when present) a ``meta``
     provenance block carrying the synthesis certificate bounds.
     """
-    if design.num_layers == 1:
-        payload = {
-            "format": _FORMAT,
-            "name": design.name,
-            "rows": design.num_rows,
-            "cols": design.num_cols,
-            "input_row": design.input_row,
-            "output_rows": design.output_rows,
-            "constant_outputs": design.constant_outputs,
-            "cells": [
-                {"row": r, "col": c, "var": lit.var, "positive": lit.positive}
-                for _l, r, c, lit in sorted(
-                    design.cells3d(), key=lambda cell: (cell[1], cell[2])
-                )
-            ],
-            "row_labels": {str(k): repr(v) for k, v in design.row_labels.items()},
-            "col_labels": {str(k): repr(v) for k, v in design.col_labels.items()},
-        }
+    planar = design.num_layers == 1
+    cells = []
+    for l, r, c, lit in sorted(design.cells3d(), key=lambda cell: cell[:3]):
+        cell = {"row": r, "col": c, "var": lit.var, "positive": lit.positive}
+        cells.append(cell if planar else {"layer": l, **cell})
+    labels = [
+        {str(k): _label_text(v) for k, v in plane.items()}
+        for plane in design.plane_labels
+    ]
+    payload: dict = {"format": _FORMAT if planar else _FORMAT_3D, "name": design.name}
+    if not planar:
+        payload["layers"] = design.num_layers
+        payload["plane_sizes"] = list(design.plane_sizes)
+    payload.update(
+        rows=design.num_rows,
+        cols=design.num_cols,
+        input_row=design.input_row,
+        output_rows=design.output_rows,
+        constant_outputs=design.constant_outputs,
+        cells=cells,
+    )
+    if planar:
+        payload["row_labels"], payload["col_labels"] = labels
     else:
-        payload = {
-            "format": _FORMAT_3D,
-            "name": design.name,
-            "layers": design.num_layers,
-            "plane_sizes": list(design.plane_sizes),
-            "rows": design.num_rows,
-            "cols": design.num_cols,
-            "input_row": design.input_row,
-            "output_rows": design.output_rows,
-            "constant_outputs": design.constant_outputs,
-            "cells": [
-                {"layer": l, "row": r, "col": c, "var": lit.var, "positive": lit.positive}
-                for l, r, c, lit in sorted(
-                    design.cells3d(), key=lambda cell: cell[:3]
-                )
-            ],
-            "plane_labels": [
-                {str(k): repr(v) for k, v in labels.items()}
-                for labels in design.plane_labels
-            ],
-        }
-        meta = getattr(design, "meta", None)
-        if meta:
-            payload["meta"] = dict(meta)
+        payload["plane_labels"] = labels
+        if design.meta:
+            payload["meta"] = dict(design.meta)
     return json.dumps(payload, indent=indent)
 
 
 def design_from_json(text: str) -> CrossbarDesign:
     """Reconstruct a design serialised by :func:`design_to_json`.
 
-    Row/column annotation labels are restored as strings (their repr);
+    Line annotation labels come back as the strings that were written;
     everything functional — dimensions, ports, programmed cells — round
-    trips exactly.  Accepts both schema versions: ``repro.crossbar/1``
-    rebuilds a planar :class:`CrossbarDesign`, ``repro.crossbar/2`` a
-    :class:`CrossbarDesign3D`.  A malformed document raises
-    :class:`ValueError` listing *every* schema problem found, not just
-    the first — including a clear rejection of ``layers < 1``.
+    trips exactly, and saving a loaded design reproduces its text.
+    Accepts both schema versions: ``repro.crossbar/1`` rebuilds a
+    1-layer design, ``repro.crossbar/2`` a K-layer one.  A malformed
+    document raises :class:`ValueError` listing *every* schema problem
+    found, not just the first — including a clear rejection of
+    ``layers < 1``.
     """
     payload = json.loads(text)
     _raise_schema_problems(_schema().design_schema_diagnostics(payload))
-    if isinstance(payload, dict) and payload.get("format") == _FORMAT_3D:
-        design3d = CrossbarDesign3D(
-            payload["name"],
-            plane_sizes=payload["plane_sizes"],
-            input_row=payload["input_row"],
-            output_rows=payload["output_rows"],
-            constant_outputs={
-                k: bool(v) for k, v in payload.get("constant_outputs", {}).items()
-            },
-        )
-        for cell in payload["cells"]:
-            design3d.set_cell3(
-                cell["layer"], cell["row"], cell["col"],
-                Lit(cell["var"], cell["positive"]),
-            )
-        for plane, labels in enumerate(payload.get("plane_labels", [])):
-            design3d.plane_labels[plane].clear()
-            design3d.plane_labels[plane].update(
-                {int(k): v for k, v in labels.items()}
-            )
-        design3d.meta = dict(payload.get("meta", {}))
-        return design3d
+    if payload["format"] == _FORMAT_3D:
+        plane_sizes = payload["plane_sizes"]
+        plane_labels = payload.get("plane_labels", [])
+        meta = payload.get("meta", {})
+    else:
+        plane_sizes = (payload["rows"], payload["cols"])
+        plane_labels = [payload.get("row_labels", {}), payload.get("col_labels", {})]
+        meta = {}
     design = CrossbarDesign(
         payload["name"],
-        num_rows=payload["rows"],
-        num_cols=payload["cols"],
+        plane_sizes,
         input_row=payload["input_row"],
         output_rows=payload["output_rows"],
         constant_outputs={
@@ -140,9 +116,13 @@ def design_from_json(text: str) -> CrossbarDesign:
         },
     )
     for cell in payload["cells"]:
-        design.set_cell(cell["row"], cell["col"], Lit(cell["var"], cell["positive"]))
-    design.row_labels = {int(k): v for k, v in payload.get("row_labels", {}).items()}
-    design.col_labels = {int(k): v for k, v in payload.get("col_labels", {}).items()}
+        design.set_cell3(
+            cell.get("layer", 0), cell["row"], cell["col"],
+            Lit(cell["var"], cell["positive"]),
+        )
+    for plane, labels in enumerate(plane_labels):
+        design.plane_labels[plane].update({int(k): v for k, v in labels.items()})
+    design.meta = dict(meta)
     return design
 
 

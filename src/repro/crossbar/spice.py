@@ -46,7 +46,7 @@ def to_spice_netlist(
 
     idx = 0
     for r, c, lit in design.cells():
-        resistance = params.r_on if (r, c) in on_cells else params.r_off
+        resistance = params.r_on if (0, r, c) in on_cells else params.r_off
         lines.append(
             f"Rm{idx} {_row_node(r)} {_col_node(c)} {resistance:g}  * cell({r},{c})={lit}"
         )

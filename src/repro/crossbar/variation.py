@@ -96,7 +96,7 @@ def simulate_with_variation(
     on_cells = design.program(assignment)
     conductance: dict[tuple[int, int], float] = {}
     for r, c, _lit in design.cells():
-        if (r, c) in on_cells:
+        if (0, r, c) in on_cells:
             resistance = params.r_on * math.exp(rng.gauss(0.0, variation.sigma_on))
         else:
             resistance = params.r_off * math.exp(rng.gauss(0.0, variation.sigma_off))

@@ -77,7 +77,6 @@ def odd_cycle_transversal(
     graph: UGraph,
     backend: str = "highs",
     time_limit: float | None = None,
-    trace_callback=None,
     jobs: int = 1,
     decompose: bool = True,
 ) -> OctResult:
@@ -99,7 +98,7 @@ def odd_cycle_transversal(
             "oct_nodes_outside_cores", len(graph) - sum(len(c) for c in cores)
         )
     solves = [(core, None, ()) for core in cores]
-    return _combine(graph, _solve_cores(solves, backend, deadline, trace_callback, jobs))
+    return _combine(graph, _solve_cores(solves, backend, deadline, jobs))
 
 
 def aligned_odd_cycle_transversal(
@@ -107,7 +106,6 @@ def aligned_odd_cycle_transversal(
     ports: Iterable[Node],
     backend: str = "highs",
     time_limit: float | None = None,
-    trace_callback=None,
     jobs: int = 1,
     decompose: bool = True,
 ) -> OctResult:
@@ -125,7 +123,7 @@ def aligned_odd_cycle_transversal(
     if not ports:
         return odd_cycle_transversal(
             graph, backend=backend, time_limit=time_limit,
-            trace_callback=trace_callback, jobs=jobs, decompose=decompose,
+            jobs=jobs, decompose=decompose,
         )
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -147,7 +145,7 @@ def aligned_odd_cycle_transversal(
             solves.append((core, hub, tuple(sorted(core.neighbors(hub)))))
         else:
             solves.append((core, None, ()))
-    return _combine(graph, _solve_cores(solves, backend, deadline, trace_callback, jobs))
+    return _combine(graph, _solve_cores(solves, backend, deadline, jobs))
 
 
 def _fresh_node(graph: UGraph) -> Node:
@@ -163,7 +161,6 @@ def _solve_cores(
     solves: list[tuple[UGraph, Node | None, tuple]],
     backend: str,
     deadline: float | None,
-    trace_callback,
     jobs: int,
 ) -> list[dict]:
     if jobs > 1 and len(solves) > 1:
@@ -172,13 +169,12 @@ def _solve_cores(
         with ThreadPoolExecutor(max_workers=min(jobs, len(solves))) as pool:
             return list(
                 pool.map(
-                    lambda s: _solve_core(s[0], s[1], s[2], backend, deadline,
-                                          trace_callback, jobs),
+                    lambda s: _solve_core(s[0], s[1], s[2], backend, deadline, jobs),
                     solves,
                 )
             )
     return [
-        _solve_core(core, hub, hub_ports, backend, deadline, trace_callback, jobs)
+        _solve_core(core, hub, hub_ports, backend, deadline, jobs)
         for core, hub, hub_ports in solves
     ]
 
@@ -189,7 +185,6 @@ def _solve_core(
     hub_ports: tuple,
     backend: str,
     deadline: float | None,
-    trace_callback,
     jobs: int,
 ) -> dict:
     """Exact OCT of one cyclic core (hub-pinned when ``hub`` is set).
@@ -216,8 +211,7 @@ def _solve_core(
         forced.add((hub, 1))
 
     vc = minimum_vertex_cover(
-        product, backend=backend, time_limit=remaining,
-        trace_callback=trace_callback, jobs=jobs,
+        product, backend=backend, time_limit=remaining, jobs=jobs,
     )
     cover = set(vc.cover) | forced
 

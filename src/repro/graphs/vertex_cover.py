@@ -127,7 +127,6 @@ def minimum_vertex_cover(
     backend: str = "highs",
     time_limit: float | None = None,
     use_kernelization: bool = True,
-    trace_callback=None,
     jobs: int = 1,
 ) -> VertexCoverResult:
     """Exact minimum vertex cover.
@@ -165,12 +164,12 @@ def minimum_vertex_cover(
         with ThreadPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
             results = list(
                 pool.map(
-                    lambda piece: _solve_piece(piece, backend, deadline, trace_callback),
+                    lambda piece: _solve_piece(piece, backend, deadline),
                     pieces,
                 )
             )
     else:
-        results = [_solve_piece(piece, backend, deadline, trace_callback) for piece in pieces]
+        results = [_solve_piece(piece, backend, deadline) for piece in pieces]
 
     cover = set(forced_in)
     optimal = True
@@ -198,7 +197,7 @@ def minimum_vertex_cover(
 
 
 def _solve_piece(
-    kernel: UGraph, backend: str, deadline: float | None, trace_callback
+    kernel: UGraph, backend: str, deadline: float | None
 ) -> tuple[set, bool, float, float, list]:
     """Solve one kernel component; returns (cover, optimal, bound, runtime, trace).
 
@@ -227,7 +226,6 @@ def _solve_piece(
         backend=backend,
         time_limit=remaining,
         initial_solution=warm if backend == "bnb" else None,
-        trace_callback=trace_callback,
     )
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
         # VC is always feasible; fall back to the greedy cover (can only

@@ -56,7 +56,9 @@ __all__ = [
 #: v3: synth keys carry the ``plane_method`` knob (certified 3D solves).
 #: v4: ``plane_method`` is gone (one plane solver), and a null knob
 #: hashes like its default.
-CACHE_KEY_SCHEMA = "repro-service-key/4"
+#: v5: the canonical design keeps string line labels unquoted (a design
+#: JSON load/save round trip is a fixed point).
+CACHE_KEY_SCHEMA = "repro-service-key/5"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.bench.suites import circuit
 from repro.check import check_design
-from repro.crossbar import CrossbarDesign3D, Lit, OFF, ON
+from repro.crossbar import CrossbarDesign, Lit, OFF, ON
 from repro.crossbar.design import h_plane, v_plane
 from repro.core import Compact
 
@@ -82,7 +82,7 @@ class TestCleanLayeredDesign:
         assert not any(d.code == "L003" for d in diags)
 
     def test_spare_line_reported_per_plane(self, layered_c17):
-        wider = CrossbarDesign3D(
+        wider = CrossbarDesign(
             layered_c17.name,
             plane_sizes=[layered_c17.plane_sizes[0]]
             + [s + 1 for s in layered_c17.plane_sizes[1:]],
@@ -109,7 +109,7 @@ class TestViaConsistency:
         ]
         assert vias, "2-layer c17 should stitch at least one node"
         l, r, c = vias[0]
-        del d._cells3d[(l, r, c)]
+        del d._cells[(l, r, c)]
         try:
             diags = check_design(d)
             assert "D007" in codes(diags)
@@ -119,10 +119,10 @@ class TestViaConsistency:
                 if diag.code == "D007"
             )
         finally:
-            d._cells3d[(l, r, c)] = ON
+            d._cells[(l, r, c)] = ON
 
     def test_d007_node_on_too_many_planes(self):
-        d = CrossbarDesign3D(
+        d = CrossbarDesign(
             "wide", plane_sizes=[2, 2, 2], input_row=0, output_rows={"f": 1}
         )
         d.set_cell3(0, 0, 0, Lit("a", True))
@@ -136,7 +136,7 @@ class TestViaConsistency:
         assert any("3 nanowire planes" in x.message for x in diags)
 
     def test_d007_non_adjacent_planes(self):
-        d = CrossbarDesign3D(
+        d = CrossbarDesign(
             "gap", plane_sizes=[2, 2, 2, 2], input_row=0, output_rows={"f": 1}
         )
         d.set_cell3(0, 0, 0, Lit("a", True))
@@ -185,7 +185,7 @@ class TestLayeredCorruptions:
         top = d.num_layers - 1
         hp, vp = h_plane(top), v_plane(top)
         sizes = list(d.plane_sizes)
-        grown = CrossbarDesign3D(
+        grown = CrossbarDesign(
             d.name,
             plane_sizes=[
                 s + 1 if p in (hp, vp) else s for p, s in enumerate(sizes)

@@ -57,7 +57,7 @@ class TestCorruptions:
         d = fresh_design
         stitches = [(r, c) for r, c, lit in d.cells() if lit.is_constant()]
         assert stitches, "synthesized c17 should contain at least one VH stitch"
-        del d._cells[stitches[0]]
+        del d._cells[(0, *stitches[0])]
         found = [x for x in check_design(d) if x.code == "D002"]
         assert any("has no always-on stitch cell" in x.message for x in found)
 
@@ -85,13 +85,13 @@ class TestCorruptions:
         assert any(x.obj == out for x in found)
 
     def test_d003_disconnected_input_row(self):
-        d = CrossbarDesign("t", 3, 1, 0, {"y": 1})
+        d = CrossbarDesign("t", (3, 1), 0, {"y": 1})
         d.set_cell(1, 0, Lit("a", True))  # output wired, input row empty
         found = [x for x in check_design(d) if x.code == "D003"]
         assert any("carries no memristors" in x.message for x in found)
 
     def test_d004_island_cells(self):
-        d = CrossbarDesign("t", 4, 2, 0, {"y": 1})
+        d = CrossbarDesign("t", (4, 2), 0, {"y": 1})
         d.set_cell(0, 0, Lit("a", True))
         d.set_cell(1, 0, Lit("b", False))
         d.set_cell(2, 1, Lit("c", True))  # island: rows 2-3 / col 1
@@ -100,7 +100,7 @@ class TestCorruptions:
         assert {x.obj for x in found} == {"cell (2, 1)", "cell (3, 1)"}
 
     def test_d005_spare_lines_are_info_only(self):
-        d = CrossbarDesign("t", 3, 2, 0, {"y": 1})
+        d = CrossbarDesign("t", (3, 2), 0, {"y": 1})
         d.set_cell(0, 0, Lit("a", True))
         d.set_cell(1, 0, Lit("a", True))
         diags = check_design(d)

@@ -1,10 +1,11 @@
-"""Method A with either exact OCT engine must give identical sizes."""
+"""Method A against the independent iterative-compression OCT engine."""
 
 import pytest
 
 from repro.bdd import build_sbdd
 from repro.circuits import c17, mux_tree, parity_tree, random_netlist
-from repro.core import label_min_semiperimeter, preprocess
+from repro.core import Label, label_min_semiperimeter, preprocess
+from repro.graphs import oct_iterative_compression
 
 
 @pytest.mark.parametrize(
@@ -15,18 +16,10 @@ from repro.core import label_min_semiperimeter, preprocess
 def test_engines_agree(factory):
     nl = factory()
     bg = preprocess(build_sbdd(nl))
-    # Without alignment both engines realise exactly S = n + |OCT_min|.
-    via_vc = label_min_semiperimeter(bg, alignment=False, algorithm="vertex_cover")
-    via_ic = label_min_semiperimeter(bg, alignment=False, algorithm="compression")
-    assert via_vc.semiperimeter == via_ic.semiperimeter, nl.name
-    via_ic.validate(bg, alignment=False)
-    # With alignment both stay valid (port promotion may differ by a
-    # few VH labels depending on which optimal transversal was found).
-    aligned = label_min_semiperimeter(bg, alignment=True, algorithm="compression")
-    aligned.validate(bg, alignment=True)
-
-
-def test_unknown_algorithm_rejected(c17_netlist):
-    bg = preprocess(build_sbdd(c17_netlist))
-    with pytest.raises(ValueError):
-        label_min_semiperimeter(bg, algorithm="magic8ball")
+    # Without alignment Method A realises exactly S = n + |OCT_min|, so
+    # its stitch count is the minimum transversal size.
+    via_vc = label_min_semiperimeter(bg, alignment=False)
+    via_ic = oct_iterative_compression(bg.graph)
+    stitches = sum(1 for lab in via_vc.labels.values() if lab is Label.VH)
+    assert stitches == via_ic.size, nl.name
+    assert via_vc.semiperimeter == len(bg.graph) + via_ic.size

@@ -9,7 +9,7 @@ from tests.conftest import all_envs
 
 
 def tiny():
-    d = CrossbarDesign("tiny", 2, 1, input_row=1, output_rows={"f": 0})
+    d = CrossbarDesign("tiny", (2, 1), input_row=1, output_rows={"f": 0})
     d.set_cell(1, 0, Lit("a", True))
     d.set_cell(0, 0, ON)
     return d
@@ -43,13 +43,13 @@ class TestVoltagesPhysical:
         assert r.outputs["f"]
 
     def test_output_on_input_row(self):
-        d = CrossbarDesign("x", 1, 0, input_row=0, output_rows={"t": 0})
+        d = CrossbarDesign("x", (1, 0), input_row=0, output_rows={"t": 0})
         r = simulate(d, {})
         assert r.outputs["t"] is True
         assert r.voltages["t"] == pytest.approx(1.0)
 
     def test_isolated_output_row(self):
-        d = CrossbarDesign("x", 2, 0, input_row=1, output_rows={"z": 0})
+        d = CrossbarDesign("x", (2, 0), input_row=1, output_rows={"z": 0})
         r = simulate(d, {})
         assert r.outputs["z"] is False
 

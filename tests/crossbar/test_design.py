@@ -10,7 +10,7 @@ def tiny_design():
 
     Row 1 --a--> col 0 --1--> row 0.
     """
-    d = CrossbarDesign("tiny", 2, 2, input_row=1, output_rows={"f": 0})
+    d = CrossbarDesign("tiny", (2, 2), input_row=1, output_rows={"f": 0})
     d.set_cell(1, 0, Lit("a", True))
     d.set_cell(0, 0, ON)
     return d
@@ -19,15 +19,15 @@ def tiny_design():
 class TestConstruction:
     def test_needs_a_row(self):
         with pytest.raises(ValueError):
-            CrossbarDesign("x", 0, 3, input_row=0, output_rows={})
+            CrossbarDesign("x", (0, 3), input_row=0, output_rows={})
 
     def test_input_row_bounds(self):
         with pytest.raises(ValueError):
-            CrossbarDesign("x", 2, 2, input_row=5, output_rows={})
+            CrossbarDesign("x", (2, 2), input_row=5, output_rows={})
 
     def test_output_row_bounds(self):
         with pytest.raises(ValueError):
-            CrossbarDesign("x", 2, 2, input_row=0, output_rows={"f": 9})
+            CrossbarDesign("x", (2, 2), input_row=0, output_rows={"f": 9})
 
     def test_cell_out_of_range(self):
         d = tiny_design()
@@ -72,11 +72,11 @@ class TestEvaluation:
 
     def test_program_returns_on_cells(self):
         d = tiny_design()
-        assert d.program({"a": True}) == {(1, 0), (0, 0)}
-        assert d.program({"a": False}) == {(0, 0)}
+        assert d.program({"a": True}) == {(0, 1, 0), (0, 0, 0)}
+        assert d.program({"a": False}) == {(0, 0, 0)}
 
     def test_negated_literal(self):
-        d = CrossbarDesign("neg", 2, 1, input_row=1, output_rows={"f": 0})
+        d = CrossbarDesign("neg", (2, 1), input_row=1, output_rows={"f": 0})
         d.set_cell(1, 0, Lit("a", False))
         d.set_cell(0, 0, ON)
         assert d.evaluate({"a": False})["f"] is True
@@ -84,7 +84,7 @@ class TestEvaluation:
 
     def test_multi_hop_sneak_path(self):
         # row2 -a-> col0 -1-> row1 -b-> col1 -1-> row0.
-        d = CrossbarDesign("hop", 3, 2, input_row=2, output_rows={"f": 0})
+        d = CrossbarDesign("hop", (3, 2), input_row=2, output_rows={"f": 0})
         d.set_cell(2, 0, Lit("a", True))
         d.set_cell(1, 0, ON)
         d.set_cell(1, 1, Lit("b", True))
@@ -94,12 +94,12 @@ class TestEvaluation:
         assert not d.evaluate({"a": 0, "b": 1})["f"]
 
     def test_output_on_input_row_always_true(self):
-        d = CrossbarDesign("x", 2, 1, input_row=1, output_rows={"f": 1})
+        d = CrossbarDesign("x", (2, 1), input_row=1, output_rows={"f": 1})
         assert d.evaluate({})["f"] is True
 
     def test_constant_outputs_dict(self):
         d = CrossbarDesign(
-            "x", 1, 0, input_row=0, output_rows={}, constant_outputs={"z": False}
+            "x", (1, 0), input_row=0, output_rows={}, constant_outputs={"z": False}
         )
         assert d.evaluate({}) == {"z": False}
 

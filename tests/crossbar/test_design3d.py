@@ -1,9 +1,8 @@
-"""Tests for the layered crossbar model (:class:`CrossbarDesign3D`)."""
+"""Tests for the layered crossbar model (:class:`CrossbarDesign` at K >= 2)."""
 
 import pytest
 
-from repro.crossbar import CrossbarDesign3D, Lit, ON, h_plane, v_plane
-from repro.crossbar.design import CrossbarDesign
+from repro.crossbar import CrossbarDesign, Lit, ON, h_plane, v_plane
 
 
 def and_gate_3d():
@@ -14,7 +13,7 @@ def and_gate_3d():
     back to... no — flow must return to plane 0 to be sensed, so route:
     input (p0 w1) --a--> p1 b0 --b--> p0 w0 (the output).
     """
-    design = CrossbarDesign3D(
+    design = CrossbarDesign(
         "and3d", plane_sizes=[2, 1, 1], input_row=1, output_rows={"f": 0}
     )
     design.set_cell3(0, 1, 0, Lit("a", True))
@@ -30,7 +29,7 @@ class TestGeometry:
         assert h_plane(3) == 4 and v_plane(3) == 3
 
     def test_footprint_is_plane_maxima(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "d", plane_sizes=[3, 5, 2, 4], input_row=0, output_rows={}
         )
         assert design.num_layers == 3
@@ -40,17 +39,17 @@ class TestGeometry:
 
     def test_needs_at_least_two_planes(self):
         with pytest.raises(ValueError, match="planes"):
-            CrossbarDesign3D("d", plane_sizes=[3], input_row=0, output_rows={})
+            CrossbarDesign("d", plane_sizes=[3], input_row=0, output_rows={})
 
     def test_rejects_negative_plane_size(self):
         with pytest.raises(ValueError):
-            CrossbarDesign3D("d", plane_sizes=[2, -1], input_row=0, output_rows={})
+            CrossbarDesign("d", plane_sizes=[2, -1], input_row=0, output_rows={})
 
     def test_ports_must_fit_plane0(self):
         with pytest.raises(ValueError):
-            CrossbarDesign3D("d", plane_sizes=[2, 1], input_row=5, output_rows={})
+            CrossbarDesign("d", plane_sizes=[2, 1], input_row=5, output_rows={})
         with pytest.raises(ValueError):
-            CrossbarDesign3D(
+            CrossbarDesign(
                 "d", plane_sizes=[2, 1], input_row=0, output_rows={"f": 7}
             )
 
@@ -84,8 +83,8 @@ class TestCellAccess:
             design.set_cell3(1, 0, 3, ON)
 
     def test_base_class_cells3d_matches_cells(self):
-        planar = CrossbarDesign("p", num_rows=2, num_cols=2, input_row=1,
-                                output_rows={"f": 0})
+        # The planar (row, col) view is the one layer of a 1-layer design.
+        planar = CrossbarDesign("p", (2, 2), input_row=1, output_rows={"f": 0})
         planar.set_cell(0, 1, Lit("x", True))
         planar.set_cell(1, 0, Lit("y", False))
         assert [(0, r, c, lit) for r, c, lit in planar.cells()] == list(
@@ -108,7 +107,7 @@ class TestEvaluation:
         # input (p0 w1) --a--> p1 b0; via stitches p1 b0 to p2 w0 via an
         # ON cell in layer 1; then flow cannot reach the output without a
         # path back down -- the output stays False while a alone is True.
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "chain", plane_sizes=[2, 1, 1], input_row=1, output_rows={"f": 0}
         )
         design.set_cell3(0, 1, 0, Lit("a", True))
@@ -117,7 +116,7 @@ class TestEvaluation:
         assert design.evaluate({"a": False, "b": True}) == {"f": False}
 
     def test_constant_outputs(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "c", plane_sizes=[2, 1], input_row=0,
             output_rows={"t": 0, "z": 1}, constant_outputs={"t": True, "z": False},
         )
@@ -134,7 +133,7 @@ class TestMetrics:
         assert design.via_count == 1
 
     def test_delay_counts_every_wordline_plane(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "d", plane_sizes=[3, 2, 4], input_row=0, output_rows={}
         )
         assert design.delay_steps == 3 + 4 + 1

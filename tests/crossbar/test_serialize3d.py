@@ -7,7 +7,7 @@ import pytest
 from repro.circuits import c17
 from repro.core import Compact
 from repro.crossbar import (
-    CrossbarDesign3D,
+    CrossbarDesign,
     Fault,
     FaultMap,
     Lit,
@@ -33,10 +33,17 @@ class TestDesignRoundTrip:
         assert payload["format"] == "repro.crossbar/2"
         assert payload["layers"] == 2
         back = design_from_json(text)
-        assert isinstance(back, CrossbarDesign3D)
+        assert back.num_layers == 2
         assert back.plane_sizes == design.plane_sizes
         assert back.semiperimeter == design.semiperimeter
         assert validate_design(back, netlist.evaluate, netlist.inputs).ok
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_load_save_is_a_fixed_point(self, layers):
+        # Labels come back as strings; saving must not quote them again.
+        design = Compact(layers=layers).synthesize_netlist(c17()).design
+        text = design_to_json(design, indent=2)
+        assert design_to_json(design_from_json(text), indent=2) == text
 
     def test_one_layer_design_emits_v1(self):
         design = Compact(layers=1).synthesize_netlist(c17()).design
@@ -125,7 +132,7 @@ class TestPlaneLabels:
             assert set(back.plane_labels[plane]) == set(labels)
 
     def test_row_col_label_aliasing_preserved(self):
-        design = CrossbarDesign3D(
+        design = CrossbarDesign(
             "d", plane_sizes=[2, 1, 1], input_row=1, output_rows={"f": 0}
         )
         design.set_cell3(0, 1, 0, Lit("a", True))
@@ -134,7 +141,7 @@ class TestPlaneLabels:
         # row_labels is plane 0 and col_labels plane 1, by aliasing.
         assert back.row_labels is back.plane_labels[0]
         assert back.col_labels is back.plane_labels[1]
-        assert back.row_labels[0] == repr("root")
+        assert back.row_labels[0] == "root"
 
 
 class TestFaultMapLayers:

@@ -15,7 +15,7 @@ class TestValidateDesign:
 
     def test_finds_counterexample_in_broken_design(self):
         # Claims to compute a&b but actually computes a.
-        d = CrossbarDesign("broken", 2, 1, input_row=1, output_rows={"f": 0})
+        d = CrossbarDesign("broken", (2, 1), input_row=1, output_rows={"f": 0})
         d.set_cell(1, 0, Lit("a", True))
         d.set_cell(0, 0, ON)
         rep = validate_design(

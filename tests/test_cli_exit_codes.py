@@ -88,6 +88,18 @@ def test_synth_parse_error_carries_location(capsys, tmp_path):
     assert str(path) in capsys.readouterr().err
 
 
+def test_synth_spice_deck_needs_one_layer(capsys, tmp_path):
+    # The SPICE deck is planar; the combination is refused before synthesis.
+    deck = tmp_path / "c17.sp"
+    argv = ["synth", str(REPO_ROOT / "examples/circuits/c17.v"),
+            "--layers", "2", "--spice", str(deck)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "--layers 1" in captured.err
+    assert captured.out == ""
+    assert not deck.exists()
+
+
 # -- map / validate / faults -------------------------------------------------------
 
 def test_map_with_invalid_design_json_exits_two(capsys, tmp_path, c17_netlist):
@@ -166,3 +178,9 @@ def test_bench_rejects_unknown_experiment():
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "not-an-experiment"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("experiment", ["perf", "yield"])
+def test_bench_empty_circuit_list_exits_two(capsys, experiment):
+    assert _exit_code(["bench", experiment, "--circuits", ""]) == 2
+    assert "names no circuit" in capsys.readouterr().err
