@@ -13,7 +13,6 @@ from .design import (
     check_design_file,
     layered_semiperimeter_lower_bound,
     odd_cycle_packing,
-    semiperimeter_lower_bound,
 )
 from .diagnostics import (
     DIAGNOSTICS_SCHEMA,
@@ -63,7 +62,6 @@ __all__ = [
     "lint_verilog_text",
     "check_design",
     "check_design_file",
-    "semiperimeter_lower_bound",
     "layered_semiperimeter_lower_bound",
     "odd_cycle_packing",
     "design_schema_diagnostics",

@@ -74,14 +74,15 @@ class CompactResult:
 class Compact:
     """COMPACT synthesis flow with the paper's knobs.
 
+    Labeling always applies the paper's alignment constraints (Eq. 7):
+    the outputs and the input feed sit on wordlines, which the mapper
+    needs to place the ports on plane 0.
+
     Parameters
     ----------
     gamma:
         Weight of the semiperimeter vs the maximum dimension in the
         objective ``gamma*S + (1-gamma)*D`` (paper default 0.5).
-    alignment:
-        Force the outputs and the input feed onto wordlines (Eq. 7;
-        the paper includes these constraints by default).
     method:
         ``"mip"`` (Method B, exact for any gamma), ``"oct"`` (Method A,
         minimal semiperimeter — the gamma=1 special case), ``"heuristic"``
@@ -113,7 +114,6 @@ class Compact:
     def __init__(
         self,
         gamma: float = 0.5,
-        alignment: bool = True,
         method: str = "auto",
         backend: str = "highs",
         time_limit: float | None = None,
@@ -134,7 +134,6 @@ class Compact:
                 f"plane_method must be auto or decomposed-milp, got {plane_method!r}"
             )
         self.gamma = gamma
-        self.alignment = alignment
         self.method = method
         self.backend = backend
         self.time_limit = time_limit
@@ -228,7 +227,6 @@ class Compact:
                     labeling,
                     self.layers,
                     gamma=self.gamma,
-                    alignment=self.alignment,
                     method=self.method,
                     backend=self.backend,
                     time_limit=self.time_limit,
@@ -244,12 +242,11 @@ class Compact:
             return VHLabeling({}, meta={"method": "empty", "optimal": True})
 
         if self.method == "heuristic":
-            return label_heuristic(bdd_graph, alignment=self.alignment)
+            return label_heuristic(bdd_graph)
 
         if self.method == "oct" or (self.method == "auto" and self.gamma == 1.0):
             labeling = label_min_semiperimeter(
                 bdd_graph,
-                alignment=self.alignment,
                 backend=self.backend,
                 time_limit=self.time_limit,
                 jobs=self.jobs,
@@ -260,7 +257,6 @@ class Compact:
                 exact = label_weighted(
                     bdd_graph,
                     gamma=1.0,
-                    alignment=self.alignment,
                     backend=self.backend,
                     time_limit=self.time_limit,
                     warm_start=labeling,
@@ -272,7 +268,7 @@ class Compact:
         warm = None
         if self.method == "auto":
             warm = label_min_semiperimeter(
-                bdd_graph, alignment=self.alignment, backend=self.backend,
+                bdd_graph, backend=self.backend,
                 time_limit=self.time_limit, jobs=self.jobs,
             )
             # All-gamma shortcut: every labeling satisfies S >= S_min and
@@ -289,7 +285,6 @@ class Compact:
         return label_weighted(
             bdd_graph,
             gamma=self.gamma,
-            alignment=self.alignment,
             backend=self.backend,
             time_limit=self.time_limit,
             warm_start=warm if self.backend == "bnb" else None,

@@ -23,9 +23,8 @@ therefore solves in two stages:
 2. a *plane assignment* spreads the wires over the K+1 planes —
    :func:`assign_planes` runs a zigzag-fold heuristic (provably valid
    and never worse than the planar solution) refined by a greedy load
-   rebalance, then one exact MILP at every graph size, kernelized by
-   port forcing, distance-based domain pruning and a per-component
-   split.
+   rebalance, then one exact MILP over the whole graph at every size,
+   kernelized by port forcing and distance-based domain pruning.
 
 Every result is measured against two independent capacity bounds from
 :mod:`repro.graphs.bounds`: the fixed-split bound certifies the *plane
@@ -257,7 +256,6 @@ def assign_planes(
     labeling: VHLabeling,
     num_layers: int,
     gamma: float = 0.5,
-    alignment: bool = True,
     method: str = "auto",
     backend: str = "highs",
     time_limit: float | None = None,
@@ -268,8 +266,8 @@ def assign_planes(
     stay optimal for every K, see the module docstring); only the plane
     of each wire is chosen.  The zigzag fold plus greedy rebalance
     always runs; unless ``method`` is ``"heuristic"`` the kernelized
-    exact MILP (port forcing, distance-pruned domains, per-component
-    split) then refines it at every graph size.
+    exact MILP (port forcing, distance-pruned domains) then refines it
+    at every graph size.
 
     The result never has a larger footprint than the planar design, and
     its meta carries the capacity certificates: ``plane_s_lb`` (fixed
@@ -281,7 +279,7 @@ def assign_planes(
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     started = time.perf_counter()
     n = len(bdd_graph.graph)
-    ports = len(bdd_graph.port_nodes()) if alignment else 0
+    ports = len(bdd_graph.port_nodes())
     k_lb = stitch_lower_bound(labeling)
     if num_layers == 1 or n == 0:
         out = lift_labeling(labeling, num_layers)
@@ -298,8 +296,8 @@ def assign_planes(
         )
         return out
 
-    folded = _zigzag_fold(bdd_graph, labeling, num_layers, alignment)
-    _rebalance(bdd_graph, folded, alignment)
+    folded = _zigzag_fold(bdd_graph, labeling, num_layers)
+    _rebalance(bdd_graph, folded)
     best = folded
     chosen = "fold"
     plane_optimal = False
@@ -307,7 +305,7 @@ def assign_planes(
     exact = None
     if method != "heuristic":
         exact = _plane_milp_decomposed(
-            bdd_graph, labeling, num_layers, gamma, alignment,
+            bdd_graph, labeling, num_layers, gamma,
             backend=backend, time_limit=time_limit, warm=folded,
         )
     if exact is not None:
@@ -343,7 +341,7 @@ def assign_planes(
     # two-stage result is optimal among *all* valid K-labelings.
     cap = layered_capacity_bound(n, k_lb, ports, num_layers, gamma=gamma)
 
-    best.validate(bdd_graph, alignment=alignment)
+    best.validate(bdd_graph)
     meta = dict(labeling.meta)
     meta.update(
         {
@@ -366,7 +364,6 @@ def _zigzag_fold(
     bdd_graph: BddGraph,
     labeling: VHLabeling,
     num_layers: int,
-    alignment: bool,
 ) -> KLabeling:
     """Valid plane assignment by folding BFS depth into the plane range.
 
@@ -382,7 +379,7 @@ def _zigzag_fold(
     """
     graph = bdd_graph.graph
     labels = labeling.labels
-    ports = set(bdd_graph.port_nodes()) if alignment else set()
+    ports = set(bdd_graph.port_nodes())
 
     pure = [v for v in graph.nodes() if labels[v] is not Label.VH]
     pure_set = set(pure)
@@ -455,7 +452,7 @@ def _pure_components(graph, pure_set: set[int]) -> list[list[int]]:
     return comps
 
 
-def _rebalance(bdd_graph: BddGraph, klabeling: KLabeling, alignment: bool) -> None:
+def _rebalance(bdd_graph: BddGraph, klabeling: KLabeling) -> None:
     """Greedy footprint shrink: move single-plane wires off the widest planes.
 
     Moving a wordline between even planes never touches the bitline
@@ -466,7 +463,7 @@ def _rebalance(bdd_graph: BddGraph, klabeling: KLabeling, alignment: bool) -> No
     """
     graph = bdd_graph.graph
     labels = klabeling.labels
-    ports = set(bdd_graph.port_nodes()) if alignment else set()
+    ports = set(bdd_graph.port_nodes())
     top = klabeling.num_layers
 
     def movable_to(v: int, plane: int) -> bool:
@@ -513,7 +510,6 @@ def _plane_milp_decomposed(
     labeling: VHLabeling,
     num_layers: int,
     gamma: float,
-    alignment: bool,
     backend: str,
     time_limit: float | None,
     warm: KLabeling,
@@ -523,8 +519,8 @@ def _plane_milp_decomposed(
     One binary per (node, allowed label); incompatible label pairs are
     forbidden edge by edge; R/C bound every horizontal/vertical plane
     load and D bounds both, reproducing the paper's Eq. 4 objective on
-    the 3D footprint.  Three reductions keep the model small at any
-    graph size:
+    the 3D footprint.  Two reductions keep the model small at any graph
+    size:
 
     * *forced assignments* — a port's domain collapses to its only
       plane-0 option (``H@0`` or ``VH@0``), a singleton the presolve
@@ -533,22 +529,18 @@ def _plane_milp_decomposed(
       by at most 2 (the neighbor's highest wire is at most its lowest
       plus one, and the edge adds one), so a node at hop distance ``d``
       from a port can be restricted to labels whose lowest plane is at
-      most ``2 d`` without cutting any feasible assignment;
-    * *decomposition* — the pruned model splits over the connected
-      components of the BDD graph; per-plane loads, and hence the
-      footprint, compose by maxima across components.
+      most ``2 d`` without cutting any feasible assignment.
 
-    Returns ``(labeling, proved_optimal)``.  Optimality composes only
-    for a single component (the usual case — every node reaches the
-    terminal); multi-component results report False and rely on the
-    caller's capacity certificate.
+    One model covers the whole graph: every node of a reduced BDD
+    reaches the 1-terminal, so the graph is connected and there is
+    nothing to split.  Returns ``(labeling, proved_optimal)``, the
+    second being the solve's own optimality flag.
     """
     from ..milp.model import Model, sum_expr
-    from ..perf import counters
 
     graph = bdd_graph.graph
     labels = labeling.labels
-    ports = set(bdd_graph.port_nodes()) if alignment else set()
+    ports = set(bdd_graph.port_nodes())
 
     # Hop distance from the pinned (plane-0) port set, for the pruning.
     dist: dict[int, int] = {p: 0 for p in ports}
@@ -577,79 +569,70 @@ def _plane_milp_decomposed(
             options = [o for o in options if min(o.planes) <= ceiling]
         return options
 
-    components = graph.connected_components()
-    counters.increment("plane_milp_components", len(components))
-    merged: dict[int, KLabel] = {}
-    all_optimal = True
-    for comp in sorted(components, key=lambda c: min(c)):
-        nodes = sorted(comp)
-        model = Model("plane-assign-kernel")
-        x: dict[tuple[int, KLabel], object] = {}
-        choices: dict[int, list[KLabel]] = {}
+    nodes = sorted(graph.nodes())
+    model = Model("plane-assign-kernel")
+    x: dict[tuple[int, KLabel], object] = {}
+    choices: dict[int, list[KLabel]] = {}
+    for v in nodes:
+        opts = allowed(v)
+        if not opts:
+            return None
+        choices[v] = opts
+        for o in opts:
+            x[(v, o)] = model.add_binary(f"x_{v}_{o}")
+        model.add_constraint(sum_expr(x[(v, o)] for o in opts) == 1)
+    for u, v in graph.edges():
+        for lu in choices[u]:
+            for lv in choices[v]:
+                if not lu.compatible(lv):
+                    model.add_constraint(x[(u, lu)] + x[(v, lv)] <= 1)
+
+    r_var = model.add_integer("R", lb=0)
+    c_var = model.add_integer("C", lb=0)
+    d_var = model.add_integer("D", lb=0)
+    for plane in range(num_layers + 1):
+        load = sum_expr(
+            x[(v, o)]
+            for v, opts in choices.items()
+            for o in opts
+            if plane in o.planes
+        )
+        bound = r_var if plane % 2 == 0 else c_var
+        model.add_constraint(load - bound <= 0)
+    model.add_constraint(d_var - r_var >= 0)
+    model.add_constraint(d_var - c_var >= 0)
+    model.minimize(gamma * (r_var + c_var) + (1.0 - gamma) * d_var)
+
+    initial = None
+    if backend == "bnb":
+        initial = {var.name: 0.0 for var in model.variables}
+        loads = [0] * (num_layers + 1)
         for v in nodes:
-            opts = allowed(v)
-            if not opts:
-                return None
-            choices[v] = opts
-            for o in opts:
-                x[(v, o)] = model.add_binary(f"x_{v}_{o}")
-            model.add_constraint(sum_expr(x[(v, o)] for o in opts) == 1)
-        for u, v in graph.edges():
-            if u not in choices or v not in choices:
-                continue
-            for lu in choices[u]:
-                for lv in choices[v]:
-                    if not lu.compatible(lv):
-                        model.add_constraint(x[(u, lu)] + x[(v, lv)] <= 1)
+            lab = warm.labels[v]
+            initial[f"x_{v}_{lab}"] = 1.0
+            for p in lab.planes:
+                loads[p] += 1
+        initial["R"] = float(max(loads[0::2], default=0))
+        initial["C"] = float(max(loads[1::2], default=0))
+        initial["D"] = float(max(initial["R"], initial["C"]))
 
-        r_var = model.add_integer("R", lb=0)
-        c_var = model.add_integer("C", lb=0)
-        d_var = model.add_integer("D", lb=0)
-        for plane in range(num_layers + 1):
-            load = sum_expr(
-                x[(v, o)]
-                for v, opts in choices.items()
-                for o in opts
-                if plane in o.planes
-            )
-            bound = r_var if plane % 2 == 0 else c_var
-            model.add_constraint(load - bound <= 0)
-        model.add_constraint(d_var - r_var >= 0)
-        model.add_constraint(d_var - c_var >= 0)
-        model.minimize(gamma * (r_var + c_var) + (1.0 - gamma) * d_var)
-
-        initial = None
-        if backend == "bnb":
-            initial = {var.name: 0.0 for var in model.variables}
-            loads = [0] * (num_layers + 1)
-            for v in nodes:
-                lab = warm.labels[v]
-                initial[f"x_{v}_{lab}"] = 1.0
-                for p in lab.planes:
-                    loads[p] += 1
-            initial["R"] = float(max(loads[0::2], default=0))
-            initial["C"] = float(max(loads[1::2], default=0))
-            initial["D"] = float(max(initial["R"], initial["C"]))
-
-        try:
-            solution = model.solve(
-                backend=backend, time_limit=time_limit,
-                initial_solution=initial,
-            )
-        except Exception:
-            return None
-        if solution.status not in ("optimal", "feasible"):
-            return None
-        for v, opts in choices.items():
-            picks = [o for o in opts if solution.int_value(f"x_{v}_{o}") == 1]
-            if len(picks) != 1:
-                return None
-            merged[v] = picks[0]
-        all_optimal = all_optimal and solution.is_optimal
-
-    result = KLabeling(num_layers, merged)
-    if not result.is_valid(bdd_graph, alignment=alignment):
+    try:
+        solution = model.solve(
+            backend=backend, time_limit=time_limit,
+            initial_solution=initial,
+        )
+    except Exception:
         return None
-    # A max-based objective does not decompose additively, so composed
-    # multi-component solutions are not certified here.
-    return result, all_optimal and len(components) == 1
+    if solution.status not in ("optimal", "feasible"):
+        return None
+    picked: dict[int, KLabel] = {}
+    for v, opts in choices.items():
+        picks = [o for o in opts if solution.int_value(f"x_{v}_{o}") == 1]
+        if len(picks) != 1:
+            return None
+        picked[v] = picks[0]
+
+    result = KLabeling(num_layers, picked)
+    if not result.is_valid(bdd_graph):
+        return None
+    return result, solution.is_optimal

@@ -30,7 +30,6 @@ def map_to_crossbar(
     bdd_graph: BddGraph,
     labeling: KLabeling | VHLabeling,
     name: str = "design",
-    validate: bool = True,
 ) -> CrossbarDesign:
     """Bind ``bdd_graph`` to a crossbar according to ``labeling``.
 
@@ -38,11 +37,12 @@ def map_to_crossbar(
     1-layer crossbar (it is lifted with
     :func:`~repro.core.klabel.lift_labeling`); a
     :class:`~repro.core.klabel.KLabeling` onto its ``num_layers``.
+    The labeling is validated first, alignment included; an invalid one
+    raises :class:`~repro.core.labeling.LabelingError`.
     """
     if isinstance(labeling, VHLabeling):
         labeling = lift_labeling(labeling)
-    if validate:
-        labeling.validate(bdd_graph, alignment=True)
+    labeling.validate(bdd_graph, alignment=True)
 
     graph = bdd_graph.graph
     planes = {v: lab.planes for v, lab in labeling.labels.items()}

@@ -10,8 +10,8 @@ import repro.check.design as design_mod
 from repro.check import (
     check_design,
     check_design_file,
+    layered_semiperimeter_lower_bound,
     odd_cycle_packing,
-    semiperimeter_lower_bound,
     validation_diagnostics,
 )
 from repro.crossbar.design import CrossbarDesign
@@ -123,15 +123,17 @@ class TestCorruptions:
         # The verifier re-derives the bound from the witnesses, so an
         # inflated claim is caught as a self-verification failure naming
         # the forged component — it cannot masquerade as a sound bound.
-        real = semiperimeter_lower_bound
+        real = layered_semiperimeter_lower_bound
 
-        def forged(graph):
-            cert = dict(real(graph))
+        def forged(graph, ports, layers):
+            cert = dict(real(graph, ports, layers))
             cert["oct_lb"] = cert["n"]
             cert["s_lb"] = 2 * cert["n"]
             return cert
 
-        monkeypatch.setattr(design_mod, "semiperimeter_lower_bound", forged)
+        monkeypatch.setattr(
+            design_mod, "layered_semiperimeter_lower_bound", forged
+        )
         found = [x for x in check_design(fresh_design) if x.code == "L002"]
         assert len(found) == 1
         assert "failed self-verification" in found[0].message
@@ -140,15 +142,17 @@ class TestCorruptions:
     def test_l002_via_forged_witness_cycle(self, fresh_design, monkeypatch):
         # Tampering with a packing witness (not just the claimed number)
         # must also fail closed: the verifier re-walks every cycle.
-        real = semiperimeter_lower_bound
+        real = layered_semiperimeter_lower_bound
 
-        def forged(graph):
-            cert = dict(real(graph))
+        def forged(graph, ports, layers):
+            cert = dict(real(graph, ports, layers))
             cert["packing"] = [["x", "y", "z"]] + list(cert["packing"])
             cert["packing_lb"] = len(cert["packing"])
             return cert
 
-        monkeypatch.setattr(design_mod, "semiperimeter_lower_bound", forged)
+        monkeypatch.setattr(
+            design_mod, "layered_semiperimeter_lower_bound", forged
+        )
         found = [x for x in check_design(fresh_design) if x.code == "L002"]
         assert len(found) == 1
         assert "packing" in found[0].data["failed_components"]
@@ -178,7 +182,7 @@ class TestLowerBoundMath:
         assert odd_cycle_packing(g) == 0
 
     def test_bound_on_triangle(self):
-        cert = semiperimeter_lower_bound(self.triangle())
+        cert = layered_semiperimeter_lower_bound(self.triangle(), 0, 1)
         assert cert["n"] == 3
         assert cert["packing_lb"] == 1
         assert cert["s_lb"] == 3 + cert["oct_lb"] >= 4
@@ -187,7 +191,7 @@ class TestLowerBoundMath:
         g = UGraph()
         g.add_edge("a", "b")
         g.add_edge("b", "c")
-        cert = semiperimeter_lower_bound(g)
+        cert = layered_semiperimeter_lower_bound(g, 0, 1)
         assert cert["oct_lb"] == 0 and cert["s_lb"] == 3
 
 

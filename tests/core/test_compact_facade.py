@@ -19,7 +19,7 @@ class TestConfiguration:
 
     def test_defaults(self):
         c = Compact()
-        assert c.gamma == 0.5 and c.alignment and c.method == "auto"
+        assert c.gamma == 0.5 and c.method == "auto"
 
     def test_plane_method_keyword_names_the_one_solver(self):
         # "auto" and "decomposed-milp" both mean the one plane solver.

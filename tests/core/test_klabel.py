@@ -230,7 +230,7 @@ class TestDecomposedMilpAboveTheGate:
         assert 270 < len(bg.graph) < 290
         # Stage-1 quality is irrelevant here (a time limit keeps the
         # test fast); the property under test is that the kernelized
-        # per-component MILPs reproduce the monolithic optimum.
+        # MILP reproduces the unpruned monolithic optimum.
         lab = label_weighted(bg, gamma=0.5, alignment=True, time_limit=5)
         dec = assign_planes(bg, lab, 3)
         oracle = plane_milp_oracle(bg, lab, 3)
@@ -266,12 +266,12 @@ class TestZigzagFold:
     def test_fold_is_valid(self, num_layers):
         for netlist in (c17(), majority_voter(7)):
             bg, lab = labeled_graph(netlist=netlist)
-            folded = _zigzag_fold(bg, lab, num_layers, True)
+            folded = _zigzag_fold(bg, lab, num_layers)
             folded.validate(bg, alignment=True)
 
     def test_fold_footprint_bounded_by_planar(self):
         bg, lab = labeled_graph(netlist=c17())
-        folded = _zigzag_fold(bg, lab, 2, True)
+        folded = _zigzag_fold(bg, lab, 2)
         assert folded.rows <= lab.rows
         assert folded.cols <= lab.cols
 

@@ -15,7 +15,6 @@ from repro.graphs.bounds import (
     vc_lp_witness,
     verify_layered_certificate,
     verify_oct_certificate,
-    verify_semiperimeter_certificate,
 )
 from repro.graphs.undirected import UGraph
 
@@ -119,11 +118,14 @@ class TestOctVerifier:
         )
 
     def test_planar_identity_enforced(self):
+        # A 1-layer certificate must claim exactly n + oct_lb.
         g = triangle()
         cert = oct_certificate(g)
-        cert["s_lb"] = cert["n"] + cert["oct_lb"] + 1
-        failures = verify_semiperimeter_certificate(g, cert)
-        assert any(f.startswith("s_lb:") for f in failures)
+        cert.update(layered_capacity_bound(len(g), cert["oct_lb"], 1, 1))
+        assert cert["s_lb"] == cert["n"] + cert["oct_lb"]
+        cert["s_lb"] += 1
+        failures = verify_layered_certificate(g, cert, 1, 1)
+        assert any(f.startswith("plane capacity:") for f in failures)
 
 
 class TestCapacityBound:
