@@ -48,9 +48,9 @@ campaign-smoke:
 
 # Layered path end to end: two-layer synthesis (validated) on two
 # example circuits plus a one-layer c17, each artifact re-checked
-# against its certificate (layered, or the planar one for c17-1l;
-# repro check exits 1 on any non-INFO finding), then a small layer
-# sweep through the bench harness.
+# against its certificate (L003, or L001 for c17-1l; repro check exits
+# 1 on any non-INFO finding) under two hash seeds whose outputs must be
+# byte-identical, then a small layer sweep through the bench harness.
 SYNTH3D_TMP ?= .synth3d-smoke
 synth3d-smoke:
 	mkdir -p $(SYNTH3D_TMP)
@@ -60,9 +60,13 @@ synth3d-smoke:
 	  --json $(SYNTH3D_TMP)/c17-2l.json
 	$(PYTHON) -m repro synth examples/circuits/maj3.pla --layers 2 \
 	  --json $(SYNTH3D_TMP)/maj3-2l.json
-	$(PYTHON) -m repro check $(SYNTH3D_TMP)/c17-1l.json --json
-	$(PYTHON) -m repro check $(SYNTH3D_TMP)/c17-2l.json --json
-	$(PYTHON) -m repro check $(SYNTH3D_TMP)/maj3-2l.json --json
+	for art in c17-1l c17-2l maj3-2l; do \
+	  for seed in 1 2; do \
+	    PYTHONHASHSEED=$$seed $(PYTHON) -m repro check --json \
+	      $(SYNTH3D_TMP)/$$art.json > $(SYNTH3D_TMP)/$$art.check$$seed || exit 1; \
+	  done; \
+	  cmp $(SYNTH3D_TMP)/$$art.check1 $(SYNTH3D_TMP)/$$art.check2 || exit 1; \
+	done
 	$(PYTHON) -m repro bench perf --circuits c17,voter9 --layer-sweep 1,2 \
 	  --jobs 2 --time-limit 10
 

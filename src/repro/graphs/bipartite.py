@@ -69,12 +69,15 @@ def find_odd_cycle(graph: UGraph) -> list[Node] | None:
     """An explicit odd cycle, or None if the graph is bipartite.
 
     BFS from each component root; the first same-color edge closes an
-    odd cycle through the BFS-tree paths of its endpoints.
+    odd cycle through the BFS-tree paths of its endpoints.  Roots and
+    neighbors are visited in ``repr`` order, so the cycle depends on the
+    graph alone: not on insertion order, and not on the string hashing
+    that orders ``neighbors()`` sets.
     """
     color: dict[Node, int] = {}
     parent: dict[Node, Node | None] = {}
 
-    for start in graph.nodes():
+    for start in sorted(graph.nodes(), key=repr):
         if start in color:
             continue
         color[start] = 0
@@ -82,7 +85,7 @@ def find_odd_cycle(graph: UGraph) -> list[Node] | None:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for u in graph.neighbors(v):
+            for u in sorted(graph.neighbors(v), key=repr):
                 if u not in color:
                     color[u] = 1 - color[v]
                     parent[u] = v

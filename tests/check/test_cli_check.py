@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from repro.cli import main
 from repro.io import write_blif
 
 FIXTURES = Path(__file__).parent / "fixtures"
-EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "circuits"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES = REPO_ROOT / "examples" / "circuits"
 
 
 def exit_code(argv):
@@ -201,3 +205,30 @@ class TestLayeredCertificateCli:
         payload = json.loads(capsys.readouterr().out)
         codes = {d["code"] for d in payload["diagnostics"]}
         assert "L004" in codes and "L003" not in codes
+
+
+class TestReproducibleOutput:
+    """The certificate depends on the design, not on string hashing."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_json_bytes_do_not_depend_on_hash_seed(self, layers, tmp_path):
+        from repro.core import Compact
+        from repro.crossbar import design_to_json
+
+        # A saved design: its labels reload as strings, whose hashes
+        # order UGraph neighbor sets differently under each seed.
+        design = Compact(layers=layers).synthesize_netlist(c17()).design
+        target = tmp_path / f"c17-{layers}l.json"
+        target.write_text(design_to_json(design))
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(
+                os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(REPO_ROOT / "src")
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "check", "--json", str(target)],
+                capture_output=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
