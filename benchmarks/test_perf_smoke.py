@@ -242,11 +242,11 @@ def test_order_quality_regression():
     assert sbdd_size_for_order(netlist, sifted) <= static_size
 
 
-def test_decomposed_labeling_jobs2_semiperimeter_parity(save_result):
+def test_decomposed_labeling_semiperimeter_parity(save_result):
     """CI smoke for the decomposition layer: one committed-benchmark
-    circuit synthesized through the decomposed OCT path with two solver
-    threads must reproduce the monolithic solves exactly — identical
-    semiperimeter and max dimension, with optimality preserved."""
+    circuit synthesized through the decomposed OCT path must reproduce
+    the monolithic solves exactly — identical semiperimeter and max
+    dimension, with optimality preserved."""
     from repro.core import Compact, label_weighted, preprocess
     from repro.graphs import aligned_odd_cycle_transversal
 
@@ -254,16 +254,16 @@ def test_decomposed_labeling_jobs2_semiperimeter_parity(save_result):
     order = sift_order(netlist, max_rounds=1)
     bg = preprocess(build_sbdd(netlist, order=order))
 
-    decomposed = Compact(gamma=0.5, jobs=2).label(bg)
+    decomposed = Compact(gamma=0.5).label(bg)
     monolithic = label_weighted(bg, gamma=0.5)
     assert decomposed.meta["optimal"]
     assert decomposed.semiperimeter == monolithic.semiperimeter
     assert decomposed.max_dimension == monolithic.max_dimension
 
-    # The aligned OCT engine itself: per-core solves with jobs=2 match
-    # the single monolithic hub solve.
+    # The aligned OCT engine itself: per-core solves match the single
+    # monolithic hub solve.
     ports = bg.port_nodes()
-    per_core = aligned_odd_cycle_transversal(bg.graph, ports, jobs=2)
+    per_core = aligned_odd_cycle_transversal(bg.graph, ports)
     mono_oct = aligned_odd_cycle_transversal(bg.graph, ports, decompose=False)
     assert per_core.optimal and mono_oct.optimal
     assert len(per_core.oct_set) == len(mono_oct.oct_set)
@@ -271,5 +271,5 @@ def test_decomposed_labeling_jobs2_semiperimeter_parity(save_result):
     save_result(
         "perf_smoke_decomposed_parity",
         f"alu4: S={decomposed.semiperimeter} D={decomposed.max_dimension} "
-        f"oct={len(per_core.oct_set)} (decomposed jobs=2 == monolithic)",
+        f"oct={len(per_core.oct_set)} (decomposed == monolithic)",
     )

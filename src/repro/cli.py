@@ -251,10 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--time-limit", type=float, default=60.0)
     synth.add_argument("--layers", type=int, default=1, metavar="K",
                        help="memristor layers in the target crossbar (default 1)")
-    synth.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for the decomposed labeling solve",
-    )
     synth.add_argument("--no-validate", action="store_true", help="skip the equivalence check")
     synth.add_argument("--render", action="store_true", help="print the crossbar grid")
     synth.add_argument("--json", metavar="PATH", help="write the design as JSON")
@@ -336,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persist cached results here (default: memory only)")
     serve_p.add_argument("--cache-size", type=int, default=256, metavar="N",
                          help="in-memory LRU capacity; 0 disables caching")
-    serve_p.add_argument("--cache-shards", type=int, default=8, metavar="N",
-                         help="independently locked cache shards (default 8)")
     serve_p.add_argument("--remote-dir", metavar="PATH",
                          help="shared-directory remote cache tier: nodes pointed at "
                               "the same directory share one result space")
@@ -364,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_synth.add_argument("--time-limit", type=float, default=60.0)
     c_synth.add_argument("--layers", type=int, default=1, metavar="K",
                          help="memristor layers in the target crossbar (default 1)")
-    c_synth.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for the decomposed labeling solve (server side)",
-    )
     c_synth.add_argument("--no-validate", action="store_true")
     c_synth.add_argument("--render", action="store_true")
     c_synth.add_argument("--json", metavar="PATH", help="write the design as JSON")
@@ -454,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: os.cpu_count())",
     )
     bench.add_argument(
-        "--solver-jobs", type=int, default=1, metavar="N",
-        help="worker threads for the labeling solve inside each circuit "
-             "(decomposed cyclic cores / kernel components); perf experiment only",
-    )
-    bench.add_argument(
         "--perf-json", metavar="PATH",
         help="write the perf baseline (e.g. BENCH_compact.json); with 'service' "
              "instead merge the load report into an existing baseline",
@@ -533,7 +518,6 @@ def _synth_params(args) -> dict:
         "method": args.method,
         "backend": args.backend,
         "time_limit": args.time_limit,
-        "solver_jobs": max(1, args.jobs),
         "validate": not args.no_validate,
         "layers": args.layers,
     }
@@ -765,7 +749,6 @@ def _cmd_bench_perf(args) -> int:
         jobs=_resolve_jobs(args.jobs),
         names=names,
         time_limit=time_limit,
-        solver_jobs=max(1, args.solver_jobs),
         layers=layers,
     )
     print(render_perf_table(payload).render())
@@ -833,8 +816,6 @@ def _cmd_serve(args) -> int:
     address = _parse_address_or_exit(args.socket, args.tcp)
     if args.cache_size < 0:
         raise _usage_error("--cache-size must be >= 0")
-    if args.cache_shards < 1:
-        raise _usage_error("--cache-shards must be >= 1")
     remote = DirectoryRemoteTier(args.remote_dir) if args.remote_dir else None
     try:
         server = ServiceServer(
@@ -844,7 +825,6 @@ def _cmd_serve(args) -> int:
             job_timeout=args.job_timeout,
             cache_dir=args.cache_dir,
             cache_size=args.cache_size,
-            cache_shards=args.cache_shards,
             remote_tier=remote,
             drain_timeout=args.drain_timeout,
         )

@@ -96,15 +96,19 @@ class Compact:
     time_limit:
         Wall-clock budget in seconds for the labeling solve.
     jobs:
-        Worker threads for the decomposed OCT/vertex-cover solves
-        (independent cyclic cores and kernel components in parallel).
+        Only ``1`` is accepted: the labeling solve runs in one thread.
+        The hub-pinned graph of a reduced SBDD has no cut vertex, so it
+        is one cyclic core with nothing to solve concurrently.  The
+        keyword is kept for callers that still pass ``jobs=1`` (the
+        benchmark's compile worker does).
     layers:
         Memristor layers in the target crossbar (FLOW-3D style).  The
         default 1 is the paper's planar flow; ``layers >= 2`` stacks the
-        design over ``layers + 1`` alternating nanowire planes, reusing
-        the 2D labeling as the stitch/bipartition stage and folding its
-        sides across same-orientation planes, which can only shrink the
-        footprint semiperimeter.
+        design over ``layers + 1`` alternating nanowire planes.  The 2D
+        labeling fixes the stitch set and the H/V bipartition, then the
+        exact plane MILP (:func:`~repro.core.klabel.assign_planes`,
+        warm-started by a zigzag fold) chooses each wire's plane; the
+        footprint is never larger than the planar one.
     plane_method:
         ``"auto"`` or ``"decomposed-milp"``; both name the one stage-2
         plane solver (:func:`~repro.core.klabel.assign_planes`), and
@@ -125,8 +129,10 @@ class Compact:
             raise ValueError(f"unknown method {method!r}")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if jobs != 1:
+            raise ValueError(
+                f"jobs must be 1 (the labeling solve is single-threaded), got {jobs!r}"
+            )
         if not isinstance(layers, int) or layers < 1:
             raise ValueError("layers must be an integer >= 1")
         if plane_method not in ("auto", "decomposed-milp"):
@@ -137,7 +143,6 @@ class Compact:
         self.method = method
         self.backend = backend
         self.time_limit = time_limit
-        self.jobs = jobs
         self.layers = layers
 
     # -- entry points ------------------------------------------------------------
@@ -212,12 +217,14 @@ class Compact:
         """The labeling + mapping tail for ``self.layers`` memristor layers.
 
         The layered flow is the two-stage solve: the configured 2D
-        labeling finds the stitch set and side bipartition (its exact
-        OCT is still exact for every layer count — odd cycles force
-        stitches regardless of which plane each node lands on), then
+        labeling finds the stitch set and side bipartition, then
         :func:`~repro.core.klabel.assign_planes` spreads each side over
-        the same-orientation planes.  A planar run keeps the stage-1
-        labeling, which the mapper lifts onto one layer.
+        the same-orientation planes.  Its exact OCT gives the minimum
+        stitch count at every layer count (odd cycles force stitches
+        whichever plane each node lands on), but not always the minimum
+        footprint: a design with more stitches can be smaller.  A
+        planar run keeps the stage-1 labeling, which the mapper lifts
+        onto one layer.
         """
         with timer.stage("labeling"):
             labeling: VHLabeling | KLabeling = self.label(bdd_graph)
@@ -246,10 +253,7 @@ class Compact:
 
         if self.method == "oct" or (self.method == "auto" and self.gamma == 1.0):
             labeling = label_min_semiperimeter(
-                bdd_graph,
-                backend=self.backend,
-                time_limit=self.time_limit,
-                jobs=self.jobs,
+                bdd_graph, backend=self.backend, time_limit=self.time_limit,
             )
             if self.method == "auto" and labeling.meta.get("promoted_ports"):
                 # Alignment conflicts forced extra VH labels; the Eq. 7 MIP
@@ -268,8 +272,7 @@ class Compact:
         warm = None
         if self.method == "auto":
             warm = label_min_semiperimeter(
-                bdd_graph, backend=self.backend,
-                time_limit=self.time_limit, jobs=self.jobs,
+                bdd_graph, backend=self.backend, time_limit=self.time_limit,
             )
             # All-gamma shortcut: every labeling satisfies S >= S_min and
             # D >= ceil(S/2) (rows + cols = S).  A proven-minimal S with

@@ -262,8 +262,9 @@ def assign_planes(
 ) -> KLabeling:
     """Spread a planar labeling's wires over ``num_layers`` layers.
 
-    The stitch set and H/V bipartition of ``labeling`` are kept (they
-    stay optimal for every K, see the module docstring); only the plane
+    The stitch set and H/V bipartition of ``labeling`` are kept (the
+    stitch count stays minimal for every K, see the module docstring,
+    though a smaller footprint may need more stitches); only the plane
     of each wire is chosen.  The zigzag fold plus greedy rebalance
     always runs; unless ``method`` is ``"heuristic"`` the kernelized
     exact MILP (port forcing, distance-pruned domains) then refines it

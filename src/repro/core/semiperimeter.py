@@ -44,15 +44,13 @@ def label_min_semiperimeter(
     alignment: bool = True,
     backend: str = "highs",
     time_limit: float | None = None,
-    jobs: int = 1,
 ) -> VHLabeling:
     """Solve the VH-labeling problem for minimal semiperimeter.
 
     The exact OCT engine is the paper's Lemma 1 pipeline (minimum
     vertex cover of ``G □ K2``, ILP-backed, solved per cyclic core and
-    alignment-exact).  ``jobs > 1`` solves independent cores and kernel
-    components in parallel threads.  With a ``time_limit`` the search
-    may stop early and the result is valid but possibly non-minimal —
+    alignment-exact).  With a ``time_limit`` the search may stop early
+    and the result is valid but possibly non-minimal —
     ``meta['optimal']`` reports which.
     """
     t0 = time.perf_counter()
@@ -63,17 +61,13 @@ def label_min_semiperimeter(
             bdd_graph.port_nodes(),
             backend=backend,
             time_limit=time_limit,
-            jobs=jobs,
         )
         # The transversal is minimal over aligned labelings, so the
         # repair step below never fires when the solve completed.
         exact_alignment = oct_result.optimal
     else:
         oct_result = odd_cycle_transversal(
-            bdd_graph.graph,
-            backend=backend,
-            time_limit=time_limit,
-            jobs=jobs,
+            bdd_graph.graph, backend=backend, time_limit=time_limit,
         )
     oct_seconds = time.perf_counter() - t0
     return _labeling_from_oct(

@@ -77,15 +77,13 @@ def odd_cycle_transversal(
     graph: UGraph,
     backend: str = "highs",
     time_limit: float | None = None,
-    jobs: int = 1,
     decompose: bool = True,
 ) -> OctResult:
     """Minimum OCT via vertex cover on ``G □ K2`` (paper Lemma 1).
 
     With ``decompose`` (the default) the exact solve runs per cyclic
-    core; ``decompose=False`` keeps the monolithic product solve for
-    cross-checking.  ``jobs > 1`` solves independent cores (and kernel
-    components within each core) in parallel worker threads.  With a
+    core, one core after another; ``decompose=False`` keeps the
+    monolithic product solve for cross-checking.  With a
     ``time_limit`` — a budget shared by all core solves — the result is
     a valid but possibly non-minimal transversal (``optimal`` reports
     which).  The coloring always covers every non-OCT node.
@@ -97,8 +95,9 @@ def odd_cycle_transversal(
         counters.increment(
             "oct_nodes_outside_cores", len(graph) - sum(len(c) for c in cores)
         )
-    solves = [(core, None, ()) for core in cores]
-    return _combine(graph, _solve_cores(solves, backend, deadline, jobs))
+    return _combine(
+        graph, [_solve_core(core, None, (), backend, deadline) for core in cores]
+    )
 
 
 def aligned_odd_cycle_transversal(
@@ -106,7 +105,6 @@ def aligned_odd_cycle_transversal(
     ports: Iterable[Node],
     backend: str = "highs",
     time_limit: float | None = None,
-    jobs: int = 1,
     decompose: bool = True,
 ) -> OctResult:
     """Minimum OCT subject to alignment: every surviving port must land
@@ -122,8 +120,7 @@ def aligned_odd_cycle_transversal(
     ports = set(ports) & set(graph.nodes())
     if not ports:
         return odd_cycle_transversal(
-            graph, backend=backend, time_limit=time_limit,
-            jobs=jobs, decompose=decompose,
+            graph, backend=backend, time_limit=time_limit, decompose=decompose,
         )
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -139,13 +136,15 @@ def aligned_odd_cycle_transversal(
             "oct_nodes_outside_cores",
             len(hub_graph) - sum(len(c) for c in cores),
         )
-    solves = []
+    solved = []
     for core in cores:
         if hub in core:
-            solves.append((core, hub, tuple(sorted(core.neighbors(hub)))))
+            solved.append(_solve_core(
+                core, hub, tuple(sorted(core.neighbors(hub))), backend, deadline,
+            ))
         else:
-            solves.append((core, None, ()))
-    return _combine(graph, _solve_cores(solves, backend, deadline, jobs))
+            solved.append(_solve_core(core, None, (), backend, deadline))
+    return _combine(graph, solved)
 
 
 def _fresh_node(graph: UGraph) -> Node:
@@ -157,35 +156,12 @@ def _fresh_node(graph: UGraph) -> Node:
     return ("__alignment_hub__",)
 
 
-def _solve_cores(
-    solves: list[tuple[UGraph, Node | None, tuple]],
-    backend: str,
-    deadline: float | None,
-    jobs: int,
-) -> list[dict]:
-    if jobs > 1 and len(solves) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(solves))) as pool:
-            return list(
-                pool.map(
-                    lambda s: _solve_core(s[0], s[1], s[2], backend, deadline, jobs),
-                    solves,
-                )
-            )
-    return [
-        _solve_core(core, hub, hub_ports, backend, deadline, jobs)
-        for core, hub, hub_ports in solves
-    ]
-
-
 def _solve_core(
     core: UGraph,
     hub: Node | None,
     hub_ports: tuple,
     backend: str,
     deadline: float | None,
-    jobs: int,
 ) -> dict:
     """Exact OCT of one cyclic core (hub-pinned when ``hub`` is set).
 
@@ -210,9 +186,7 @@ def _solve_core(
         product.remove_node((hub, 1))
         forced.add((hub, 1))
 
-    vc = minimum_vertex_cover(
-        product, backend=backend, time_limit=remaining, jobs=jobs,
-    )
+    vc = minimum_vertex_cover(product, backend=backend, time_limit=remaining)
     cover = set(vc.cover) | forced
 
     oct_set: set = set()

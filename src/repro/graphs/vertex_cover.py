@@ -12,8 +12,7 @@ vertex cover ILP (Section VI-A).  This module provides:
 * :func:`minimum_vertex_cover` — exact solve (kernel + ILP) with a
   choice of MILP backend.  The ½-kernel is split into connected
   components — vertex cover decomposes exactly over them — and each
-  component becomes its own (much smaller) MILP, optionally solved in
-  parallel with ``jobs`` worker threads.
+  component becomes its own (much smaller) MILP, solved in order.
 """
 
 from __future__ import annotations
@@ -127,7 +126,6 @@ def minimum_vertex_cover(
     backend: str = "highs",
     time_limit: float | None = None,
     use_kernelization: bool = True,
-    jobs: int = 1,
 ) -> VertexCoverResult:
     """Exact minimum vertex cover.
 
@@ -135,10 +133,9 @@ def minimum_vertex_cover(
     kernel into connected components — a minimum cover is the union of
     per-component minimum covers — and solves each component with the
     requested MILP backend, warm-started by the greedy 2-approximation.
-    ``jobs > 1`` solves independent components in parallel worker
-    threads.  With a ``time_limit`` (a budget shared by all component
-    solves) the result may be a feasible (non-optimal) cover;
-    ``optimal`` reports which.
+    With a ``time_limit`` (a budget shared by all component solves) the
+    result may be a feasible (non-optimal) cover; ``optimal`` reports
+    which.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if use_kernelization:
@@ -158,25 +155,15 @@ def minimum_vertex_cover(
     if len(pieces) > 1:
         counters.increment("vc_kernel_splits")
 
-    if jobs > 1 and len(pieces) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(jobs, len(pieces))) as pool:
-            results = list(
-                pool.map(
-                    lambda piece: _solve_piece(piece, backend, deadline),
-                    pieces,
-                )
-            )
-    else:
-        results = [_solve_piece(piece, backend, deadline) for piece in pieces]
-
     cover = set(forced_in)
     optimal = True
     runtime = 0.0
     pieces_bound = 0.0
     trace: list = []
-    for piece_cover, piece_optimal, piece_bound, piece_runtime, piece_trace in results:
+    for piece in pieces:
+        piece_cover, piece_optimal, piece_bound, piece_runtime, piece_trace = (
+            _solve_piece(piece, backend, deadline)
+        )
         cover |= piece_cover
         optimal = optimal and piece_optimal
         pieces_bound += piece_bound

@@ -4,9 +4,9 @@ A deliberately tiny mechanism: hot code paths call :func:`increment`
 with a counter name, and tests/benchmarks bracket a region with
 :func:`reset` + :func:`snapshot` to assert how often something happened.
 The counters are module state guarded by a single lock, so increments
-from solver worker threads (the ``jobs > 1`` decomposition pools, the
-service's connection threads) stay exact; the parallel bench runner
-forks one process per circuit, so each worker sees its own counters.
+from the service's loop, dispatch and monitor threads stay exact; the
+parallel bench runner forks one process per circuit, so each worker
+sees its own counters.
 
 Well-known counter names
 ------------------------
@@ -48,9 +48,9 @@ Well-known counter names
 ``service_cache_hits`` / ``service_cache_misses`` / ``service_cache_stores``
     Result-cache lookups in the synthesis service
     (:class:`repro.service.cache.ResultCache`); hits count the
-    in-memory LRU shards, the on-disk store and the remote tier.
+    in-memory LRU front, the on-disk store and the remote tier.
 ``service_cache_evictions``
-    Entries dropped from the sharded LRU memory front (the disk copy,
+    Entries dropped from the LRU memory front (the disk copy,
     when a cache directory is configured, survives eviction).
 ``service_cache_remote_hits`` / ``service_cache_remote_stores``
     Lookups answered by, and entries written through to, the pluggable
@@ -59,16 +59,12 @@ Well-known counter names
     Request content addresses resolved from the engine's bounded
     raw-params memo instead of re-canonicalising (re-parsing) the
     payload — the async front's inline fast path relies on this.
-``service_batch_coalesced``
-    Cached responses answered by sharing one cache lookup with an
-    identical frame earlier in the same pipelined batch (the async
-    front's admission coalescing).
 ``service_jobs_submitted`` / ``service_jobs_completed`` / ``service_jobs_failed``
     Requests admitted by :class:`repro.service.engine.Engine` and how
     they resolved (failed = structured error payload, including
     timeouts and crashes).  Every admitted request counts here exactly
-    once, whichever path answers it — the engine proper, the async
-    front's inline cached fast path, or batch coalescing.
+    once, whichever path answers it — the engine proper or the async
+    front's inline cached fast path.
 ``service_dedup_hits``
     Identical concurrent requests that attached to an in-flight twin
     instead of synthesizing again.
@@ -103,8 +99,8 @@ Well-known counter names
 
 The service counters are incremented from the server's event loop,
 dispatch threads and engine monitors; the counter store has its own
-lock (below), so they stay exact regardless of which front or how many
-cache shards produced them.
+lock (below), so they stay exact regardless of which thread produced
+them.
 """
 
 from __future__ import annotations

@@ -59,19 +59,15 @@ def run_perf_circuit(
     method: str = "auto",
     backend: str = "highs",
     time_limit: float = DEFAULT_TIME_LIMIT,
-    sift_rounds: int = 1,
-    solver_jobs: int = 1,
     layers: int = 1,
 ) -> dict:
     """Synthesize one suite circuit on ``layers`` memristor layers.
 
-    The one pipeline every bench row runs: sift, then
-    :meth:`Compact.synthesize_netlist`, then validation.
-    ``solver_jobs`` sets the labeling solver's worker threads (parallel
-    cyclic cores / kernel components); it never changes the synthesized
-    design.  Returns a JSON-ready record (see :mod:`repro.perf.schema`)
-    that also carries what a layer-sweep row needs: via count, plane
-    solver, plane certificate and certified gap.
+    The one pipeline every bench row runs: one sifting round, then
+    :meth:`Compact.synthesize_netlist`, then validation.  Returns a
+    JSON-ready record (see :mod:`repro.perf.schema`) that also carries
+    what a layer-sweep row needs: via count, plane solver, plane
+    certificate and certified gap.
     """
     from ..bench.suites import circuit
 
@@ -82,14 +78,12 @@ def run_perf_circuit(
 
     sift_stats: dict = {}
     t0 = time.monotonic()
-    order = sift_order(
-        netlist, start=start_order, max_rounds=sift_rounds, stats=sift_stats
-    )
+    order = sift_order(netlist, start=start_order, max_rounds=1, stats=sift_stats)
     t_sift = time.monotonic() - t0
 
     compact = Compact(
         gamma=gamma, method=method, backend=backend, time_limit=time_limit,
-        jobs=solver_jobs, layers=layers,
+        layers=layers,
     )
     t0 = time.monotonic()
     result = compact.synthesize_netlist(netlist, order=order)
@@ -193,8 +187,6 @@ def run_perf_suite(
     method: str = "auto",
     backend: str = "highs",
     time_limit: float = DEFAULT_TIME_LIMIT,
-    sift_rounds: int = 1,
-    solver_jobs: int = 1,
     layers: Sequence[int] | None = None,
 ) -> dict:
     """Run the perf harness over the suite; returns the BENCH payload.
@@ -203,11 +195,9 @@ def run_perf_suite(
     each layer count in ``layers``; when ``layers`` is given, the
     payload also gets a ``layer_sweep`` block projected from those same
     records, one result row per layer count.  ``jobs > 1`` fans the
-    (circuit, K) tasks out to one :class:`ProcessPoolExecutor`;
-    ``solver_jobs`` additionally parallelizes the labeling solve
-    *within* each task (decomposed cores/kernel components).  ``names``
-    restricts the run to specific suite circuits.  Records are sorted
-    by circuit name regardless of completion order.
+    (circuit, K) tasks out to one :class:`ProcessPoolExecutor`.
+    ``names`` restricts the run to specific suite circuits.  Records
+    are sorted by circuit name regardless of completion order.
     """
     from ..bench.suites import suite
 
@@ -226,8 +216,6 @@ def run_perf_suite(
         "method": method,
         "backend": backend,
         "time_limit": time_limit,
-        "sift_rounds": sift_rounds,
-        "solver_jobs": solver_jobs,
     }
     names = sorted(set(names))
     tasks = [
@@ -253,7 +241,6 @@ def run_perf_suite(
         "backend": backend,
         "time_limit": time_limit,
         "jobs": jobs,
-        "solver_jobs": solver_jobs,
         "python": platform.python_version(),
         "circuits": headline,
         "totals": {
@@ -352,7 +339,6 @@ def deterministic_view(payload: dict) -> dict:
 
     view = strip(payload)
     view.pop("jobs", None)
-    view.pop("solver_jobs", None)
     view.pop("python", None)
     return view
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from ..circuits.netlist import Netlist
 from ..core import Compact, CompactResult
+from ..crossbar.design import CrossbarDesign
 from ..crossbar.faults import FaultMap
 from ..perf import counters
 from .remap import RemapFailure, RemapResult, remap, with_resynthesis_attempts
@@ -32,7 +33,9 @@ class FaultTolerantResult:
     """A synthesized, defect-avoiding, verified crossbar."""
 
     remap: RemapResult
-    synthesis: CompactResult
+    #: The synthesis behind the placed design (None when the caller's
+    #: own design placed).
+    synthesis: CompactResult | None
     resynthesized: bool
     #: Variable order that recovered the mapping (None = the default order).
     order: tuple[str, ...] | None
@@ -68,6 +71,7 @@ def synthesize_fault_tolerant(
     fault_map: FaultMap,
     compact: Compact | None = None,
     *,
+    design: CrossbarDesign | None = None,
     n_orders: int = 2,
     seed: int = 0,
     **remap_kwargs,
@@ -77,21 +81,25 @@ def synthesize_fault_tolerant(
     Runs COMPACT, then the remap escalation chain; on failure,
     re-synthesizes under up to ``n_orders`` alternative variable orders
     (reversed first, then seeded shuffles) and retries each design that
-    still fits the physical array.  ``remap_kwargs`` are forwarded to
-    :func:`repro.robust.remap.remap`.
+    still fits the physical array.  A caller that already holds a
+    ``design`` of ``netlist`` passes it: the first attempt places that
+    design, and only the alternative orders are synthesized.
+    ``remap_kwargs`` are forwarded to :func:`repro.robust.remap.remap`.
 
     Raises :class:`RemapFailure` carrying the best diagnosis across all
     attempts; never leaks a bare solver or indexing error.
     """
     compact = compact or Compact()
-    result = compact.synthesize_netlist(netlist)
+    synthesis = None
+    if design is None:
+        synthesis = compact.synthesize_netlist(netlist)
+        design = synthesis.design
     try:
         placed = remap(
-            result.design, fault_map, netlist.evaluate, netlist.inputs,
-            **remap_kwargs,
+            design, fault_map, netlist.evaluate, netlist.inputs, **remap_kwargs,
         )
         return FaultTolerantResult(
-            remap=placed, synthesis=result,
+            remap=placed, synthesis=synthesis,
             resynthesized=False, order=None, resynthesis_attempts=0,
         )
     except RemapFailure as failure:

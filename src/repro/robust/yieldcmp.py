@@ -117,7 +117,7 @@ def yield_comparison(
                 try:
                     if resynthesize:
                         ft = synthesize_fault_tolerant(
-                            netlist, fault_map, compact,
+                            netlist, fault_map, compact, design=design,
                             time_limit=time_limit, seed=seed,
                         )
                         stage = "resynth" if ft.resynthesized else ft.remap.stage

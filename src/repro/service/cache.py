@@ -9,18 +9,17 @@ function, same gamma/method, same variable-order policy, same fault
 map — therefore share one cache entry regardless of formatting,
 comments, or parameter spelling.
 
-Storage is three-level and *sharded*: the key space is split by key
-prefix into independently locked shards, each holding a bounded
-in-memory LRU front (entries stored as compact JSON strings so every
-``get`` hands back a fresh object) over an optional JSON-file-per-entry
-disk store that survives restarts, optionally backed by a pluggable
-*remote tier* (:mod:`repro.service.remote`) so several service nodes
-can share one result space.  Disk and remote I/O always happen
-*outside* the shard locks — a lookup that has to touch disk never
-stalls concurrent lookups on other keys (or even on the same shard's
-memory front).  Evicting from memory never deletes the disk copy.
-Hit/miss/eviction events are mirrored into
-:mod:`repro.perf.counters` under the ``service_cache_*`` names.
+Storage is three-level: a bounded in-memory LRU front (entries stored
+as compact JSON strings so every ``get`` hands back a fresh object)
+over an optional JSON-file-per-entry disk store that survives restarts,
+optionally backed by a pluggable *remote tier*
+(:mod:`repro.service.remote`) so several service nodes can share one
+result space.  One lock guards the memory front and the disk census;
+disk and remote I/O always happen *outside* it, so a lookup that has to
+touch disk never stalls concurrent lookups on other keys.  Evicting
+from memory never deletes the disk copy.  Hit/miss/eviction events are
+mirrored into :mod:`repro.perf.counters` under the ``service_cache_*``
+names.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import hashlib
 import json
 import os
 import threading
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 
@@ -58,7 +56,9 @@ __all__ = [
 #: hashes like its default.
 #: v5: the canonical design keeps string line labels unquoted (a design
 #: JSON load/save round trip is a fixed point).
-CACHE_KEY_SCHEMA = "repro-service-key/5"
+#: v6: synth keys drop ``solver_jobs`` (the labeling solve has one
+#: thread, so the knob never changed a design).
+CACHE_KEY_SCHEMA = "repro-service-key/6"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 
@@ -244,88 +244,57 @@ def write_entry(directory: Path, key: str, method: str, encoded: str) -> bool:
     return True
 
 
-class _Shard:
-    """One independently locked slice of the key space."""
-
-    __slots__ = ("lock", "mem", "capacity", "stats", "disk_keys")
-
-    def __init__(self, capacity: int):
-        self.lock = threading.Lock()
-        self.mem: OrderedDict[str, str] = OrderedDict()
-        self.capacity = capacity
-        self.stats = {"hits": 0, "misses": 0, "stores": 0, "evictions": 0}
-        self.disk_keys: set[str] = set()
-
-
 class ResultCache:
-    """Sharded, bounded LRU front over an optional on-disk JSON store.
+    """Bounded LRU front over an optional on-disk JSON store.
 
-    ``shards`` independently locked shards split the key space by key
-    prefix; ``capacity`` is the *total* memory budget, distributed
-    across shards (so ``shards=1`` reproduces the classic single-lock
-    global-LRU behaviour exactly).  An optional ``remote`` tier
+    ``capacity`` bounds the memory front.  An optional ``remote`` tier
     (:class:`repro.service.remote.RemoteTier`) is consulted after a
     local miss and populated on every store, letting N service nodes
     share one result space.
 
-    Thread safe.  Disk and remote I/O happen outside the shard locks;
-    the ``service_cache_*`` perf counters stay exact because the
-    counters module has its own lock.
+    Thread safe: one lock guards the memory front, the stats and the
+    disk census.  Disk and remote I/O happen outside it; the
+    ``service_cache_*`` perf counters stay exact because the counters
+    module has its own lock.
     """
 
     def __init__(
         self,
         capacity: int = 256,
         directory: str | Path | None = None,
-        shards: int = 1,
         remote=None,
     ):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        if shards < 1:
-            raise ValueError("cache shards must be >= 1")
-        shards = min(shards, capacity)
+        self._capacity = capacity
         self._dir = Path(directory) if directory else None
+        self._remote = remote
+        self._lock = threading.Lock()
+        self._mem: OrderedDict[str, str] = OrderedDict()
+        self._stats = {"hits": 0, "misses": 0, "stores": 0, "evictions": 0}
+        self._disk_keys: set[str] = set()
         if self._dir is not None:
             self._dir.mkdir(parents=True, exist_ok=True)
-        self._remote = remote
-        base, extra = divmod(capacity, shards)
-        self._shards = [_Shard(base + (1 if i < extra else 0)) for i in range(shards)]
-        if self._dir is not None:
             # One census at construction; stats() afterwards never globs.
-            for path in self._dir.glob("*.json"):
-                self._shard(path.stem).disk_keys.add(path.stem)
+            self._disk_keys.update(path.stem for path in self._dir.glob("*.json"))
 
     # -- internals ---------------------------------------------------------------
-    def _shard(self, key: str) -> _Shard:
-        n = len(self._shards)
-        if n == 1:
-            return self._shards[0]
-        try:
-            index = int(key[:4], 16)
-        except ValueError:
-            index = zlib.crc32(key.encode())
-        return self._shards[index % n]
-
-    def _path(self, key: str) -> Path:
-        return self._dir / f"{key}.json"
-
-    def _disk_get(self, key: str, shard: _Shard) -> str | None:
+    def _disk_get(self, key: str) -> str | None:
         if self._dir is None:
             return None
-        path = self._path(key)
+        path = self._dir / f"{key}.json"
         encoded = read_entry(path)
         if encoded is None and not path.exists():
-            with shard.lock:
-                shard.disk_keys.discard(key)
+            with self._lock:
+                self._disk_keys.discard(key)
         return encoded
 
-    def _disk_put(self, key: str, method: str, encoded: str, shard: _Shard) -> None:
+    def _disk_put(self, key: str, method: str, encoded: str) -> None:
         if self._dir is None:
             return
         if write_entry(self._dir, key, method, encoded):
-            with shard.lock:
-                shard.disk_keys.add(key)
+            with self._lock:
+                self._disk_keys.add(key)
 
     def _remote_get(self, key: str) -> str | None:
         if self._remote is None:
@@ -347,44 +316,43 @@ class ResultCache:
             return
         counters.increment("service_cache_remote_stores")
 
-    def _remember_locked(self, shard: _Shard, key: str, encoded: str) -> None:
-        shard.mem[key] = encoded
-        shard.mem.move_to_end(key)
-        while len(shard.mem) > shard.capacity:
-            shard.mem.popitem(last=False)
-            shard.stats["evictions"] += 1
+    def _remember_locked(self, key: str, encoded: str) -> None:
+        self._mem[key] = encoded
+        self._mem.move_to_end(key)
+        while len(self._mem) > self._capacity:
+            self._mem.popitem(last=False)
+            self._stats["evictions"] += 1
             counters.increment("service_cache_evictions")
 
     def _lookup_encoded(self, key: str, count_miss: bool) -> str | None:
         """Memory, then disk, then remote; populates warmer tiers on a hit."""
-        shard = self._shard(key)
-        with shard.lock:
-            encoded = shard.mem.get(key)
+        with self._lock:
+            encoded = self._mem.get(key)
             if encoded is not None:
-                shard.mem.move_to_end(key)
-                shard.stats["hits"] += 1
+                self._mem.move_to_end(key)
+                self._stats["hits"] += 1
                 counters.increment("service_cache_hits")
                 return encoded
-        # Cold tiers, deliberately outside the shard lock: a disk (or
-        # remote) read on one key must not serialize lookups on others.
-        encoded = self._disk_get(key, shard)
+        # Cold tiers, deliberately outside the lock: a disk (or remote)
+        # read on one key must not serialize lookups on others.
+        encoded = self._disk_get(key)
         from_remote = False
         if encoded is None:
             encoded = self._remote_get(key)
             from_remote = encoded is not None
-        with shard.lock:
+        with self._lock:
             if encoded is None:
                 if count_miss:
-                    shard.stats["misses"] += 1
+                    self._stats["misses"] += 1
                     counters.increment("service_cache_misses")
                 return None
-            self._remember_locked(shard, key, encoded)
-            shard.stats["hits"] += 1
+            self._remember_locked(key, encoded)
+            self._stats["hits"] += 1
             counters.increment("service_cache_hits")
         if from_remote:
             # Write the remote copy through to local disk so the next
             # cold start (or memory eviction) is served locally.
-            self._disk_put(key, "remote", encoded, shard)
+            self._disk_put(key, "remote", encoded)
         return encoded
 
     # -- public API --------------------------------------------------------------
@@ -407,21 +375,19 @@ class ResultCache:
     def put(self, key: str, result: dict, method: str = "synth") -> None:
         """Store one result payload (must be JSON-serialisable)."""
         encoded = json.dumps(result, sort_keys=True, separators=(",", ":"))
-        shard = self._shard(key)
-        with shard.lock:
-            self._remember_locked(shard, key, encoded)
-            shard.stats["stores"] += 1
+        with self._lock:
+            self._remember_locked(key, encoded)
+            self._stats["stores"] += 1
             counters.increment("service_cache_stores")
         # The fsync-heavy disk write and the remote store run outside
-        # the lock: concurrent lookups on this shard proceed meanwhile.
-        self._disk_put(key, method, encoded, shard)
+        # the lock: concurrent lookups proceed meanwhile.
+        self._disk_put(key, method, encoded)
         self._remote_put(key, method, encoded)
 
     def clear(self) -> None:
         """Drop the memory front (disk entries are kept)."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.mem.clear()
+        with self._lock:
+            self._mem.clear()
 
     def stats(self) -> dict:
         """Hit/miss/store/eviction counts plus sizes and hit rate.
@@ -430,21 +396,10 @@ class ResultCache:
         directory scan at construction, updated on store/drop) — this
         call never globs the cache directory.
         """
-        out = {"hits": 0, "misses": 0, "stores": 0, "evictions": 0}
-        entries_mem = 0
-        entries_disk = 0
-        shard_sizes = []
-        for shard in self._shards:
-            with shard.lock:
-                for name in out:
-                    out[name] += shard.stats[name]
-                shard_sizes.append(len(shard.mem))
-                entries_mem += len(shard.mem)
-                entries_disk += len(shard.disk_keys)
-        out["entries_mem"] = entries_mem
-        out["entries_disk"] = entries_disk if self._dir is not None else 0
-        out["shards"] = len(self._shards)
-        out["shard_sizes"] = shard_sizes
+        with self._lock:
+            out = dict(self._stats)
+            out["entries_mem"] = len(self._mem)
+            out["entries_disk"] = len(self._disk_keys)
         # ``is not None``: an empty InMemoryRemoteTier is falsy (__len__).
         out["remote_tier"] = (
             type(self._remote).__name__ if self._remote is not None else None

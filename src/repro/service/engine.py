@@ -356,13 +356,6 @@ class Engine:
             self._submit_locked(job)
 
     # -- key derivation ----------------------------------------------------------
-    @staticmethod
-    def _params_blob(params: dict) -> str | None:
-        try:
-            return json.dumps(params, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError):
-            return None  # non-JSON params cannot come off the wire; skip the memo
-
     def _memo_probe(self, method: str, params: dict) -> tuple[bool, str | None, str | None]:
         """Cheap memo probe: ``(found, key_or_None, blob_or_None)``.
 
@@ -371,9 +364,10 @@ class Engine:
         async front's event loop) can probe inline and defer the
         expensive circuit parse to a worker thread.
         """
-        blob = self._params_blob(params)
-        if blob is None:
-            return False, None, None
+        try:
+            blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
+        except (TypeError, ValueError):
+            return False, None, None  # non-JSON params cannot come off the wire
         with self._key_memo_lock:
             memo_key = (method, blob)
             if memo_key in self._key_memo:

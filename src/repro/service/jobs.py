@@ -85,7 +85,6 @@ def _synth(params: dict) -> dict:
         method=knob(params, SYNTH_DEFAULTS, "method"),
         backend=knob(params, SYNTH_DEFAULTS, "backend"),
         time_limit=float(knob(params, SYNTH_DEFAULTS, "time_limit")),
-        jobs=int(knob(params, SYNTH_DEFAULTS, "solver_jobs")),
         layers=int(knob(params, SYNTH_DEFAULTS, "layers")),
     )
     order = params.get("order")
@@ -113,6 +112,7 @@ def _synth(params: dict) -> dict:
 
 
 def _map(params: dict) -> dict:
+    from ..core import Compact
     from ..crossbar import design_from_json, design_to_json, fault_map_from_json, measure
     from ..robust import RemapFailure, remap, synthesize_fault_tolerant
 
@@ -131,8 +131,12 @@ def _map(params: dict) -> dict:
     resynthesized, order = False, None
     try:
         if knobs["resynthesize"]:
+            # The request's design is the first attempt; the alternative
+            # orders are synthesized under the synth requests' budget.
             ft = synthesize_fault_tolerant(
                 netlist, fault_map,
+                Compact(time_limit=float(SYNTH_DEFAULTS["time_limit"])),
+                design=design,
                 max_spare_rows=knobs["spare_rows"], max_spare_cols=knobs["spare_cols"],
                 method=knobs["method"], time_limit=knobs["time_limit"],
                 seed=int(knobs["seed"]),

@@ -12,8 +12,6 @@ Fast path anatomy (what makes cached traffic ~10k+ RPS on one box):
 
 * frames are read in batches — one ``recv`` of a pipelined connection
   yields many frames, answered with a single coalesced write;
-* homogeneous frames inside one batch share a single cache lookup
-  (``service_batch_coalesced``);
 * the request's content address comes from a bounded memo of the raw
   parameter bytes (``service_key_memo_hits``) — no re-parse;
 * the cached result string is spliced verbatim into the response frame
@@ -40,13 +38,11 @@ import threading
 import time
 from pathlib import Path
 
-from ..perf import counters
 from . import __version__ as _service_version
 from .cache import ResultCache
 from .engine import Engine
 from .protocol import (
     BATCH_METHODS,
-    CACHEABLE_METHODS,
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -147,10 +143,10 @@ class ServiceServer:
 
     Parameters mirror ``repro serve``: ``address`` comes from
     :func:`parse_address`; ``jobs``/``queue_size``/``job_timeout``
-    configure the engine; ``cache_dir``/``cache_size``/``cache_shards``
-    the result cache (``cache_size == 0`` disables caching entirely);
-    ``remote_tier`` plugs a shared fleet tier
-    (:mod:`repro.service.remote`) behind the local cache.
+    configure the engine; ``cache_dir``/``cache_size`` the result cache
+    (``cache_size == 0`` disables caching entirely); ``remote_tier``
+    plugs a shared fleet tier (:mod:`repro.service.remote`) behind the
+    local cache.
     """
 
     def __init__(
@@ -162,7 +158,6 @@ class ServiceServer:
         cache_dir: str | Path | None = None,
         cache_size: int = 256,
         drain_timeout: float = 30.0,
-        cache_shards: int = 8,
         remote_tier=None,
     ):
         self._address_spec = address
@@ -170,10 +165,7 @@ class ServiceServer:
         cache = None
         if cache_size > 0:
             cache = ResultCache(
-                capacity=cache_size,
-                directory=cache_dir,
-                shards=cache_shards,
-                remote=remote_tier,
+                capacity=cache_size, directory=cache_dir, remote=remote_tier,
             )
         self.cache = cache
         self.engine = Engine(
@@ -423,9 +415,6 @@ class ServiceServer:
         """
         loop = asyncio.get_running_loop()
         results: list[bytes | asyncio.Task] = [b""] * len(lines)
-        # Coalescing: homogeneous cached frames inside one pipelined
-        # batch share a single key-derivation + cache lookup.
-        batch_hits: dict[tuple[str, str], str] = {}
         for i, line in enumerate(lines):
             try:
                 request = decode_request(line)
@@ -437,28 +426,12 @@ class ServiceServer:
             if inline is not None:
                 results[i] = encode(inline)
                 continue
-            method, params = request["method"], request["params"]
-            if method in CACHEABLE_METHODS:
-                blob = self.engine._params_blob(params)
-                if blob is not None:
-                    group = (method, blob)
-                    encoded = batch_hits.get(group)
-                    if encoded is not None:
-                        counters.increment("service_batch_coalesced")
-                        counters.increment("service_jobs_submitted")
-                        results[i] = fast_ok_frame(
-                            request["id"], encoded,
-                            elapsed_s=time.monotonic() - t0,
-                        )
-                        continue
-                    encoded = self.engine.cached_encoded(method, params)
-                    if encoded is not None:
-                        batch_hits[group] = encoded
-                        results[i] = fast_ok_frame(
-                            request["id"], encoded,
-                            elapsed_s=time.monotonic() - t0,
-                        )
-                        continue
+            encoded = self.engine.cached_encoded(request["method"], request["params"])
+            if encoded is not None:
+                results[i] = fast_ok_frame(
+                    request["id"], encoded, elapsed_s=time.monotonic() - t0,
+                )
+                continue
             results[i] = loop.create_task(self._slow_frame(request, t0))
         return [
             item if isinstance(item, bytes) else await item for item in results

@@ -21,6 +21,19 @@ class TestConfiguration:
         c = Compact()
         assert c.gamma == 0.5 and c.method == "auto"
 
+    def test_jobs_keyword_accepts_only_one(self):
+        # The labeling solve is single-threaded; jobs=1 stays accepted
+        # for callers that still pass it, such as the benchmark's
+        # compile worker with its exact keyword set.
+        for jobs in (0, 2, 4):
+            with pytest.raises(ValueError, match="jobs"):
+                Compact(jobs=jobs)
+        compact = Compact(
+            gamma=0.5, method="auto", backend="highs", time_limit=60,
+            jobs=1, layers=3, plane_method="decomposed-milp",
+        )
+        assert compact.layers == 3 and compact.time_limit == 60
+
     def test_plane_method_keyword_names_the_one_solver(self):
         # "auto" and "decomposed-milp" both mean the one plane solver.
         designs = {

@@ -179,13 +179,6 @@ class TestDecomposedMatchesMonolithic:
             assert len(deco.oct_set) == len(mono.oct_set), name
             assert deco.optimal and mono.optimal, name
 
-    def test_jobs_do_not_change_the_result(self):
-        g = random_graph(20, 0.18, 7)
-        seq = odd_cycle_transversal(g, jobs=1)
-        par = odd_cycle_transversal(g, jobs=2)
-        assert seq.oct_set == par.oct_set
-        assert seq.lower_bound == pytest.approx(par.lower_bound)
-
     def test_coloring_is_proper_across_cut_vertices(self):
         # A bridge between two triangles: per-core colorings must stitch
         # parity-consistently across the bridge.

@@ -55,3 +55,38 @@ class TestPipeline:
         d = exc_info.value.diagnosis
         assert d.resynthesis_attempts >= 0
         assert "remap failed" in str(exc_info.value)
+
+
+class TestCallerDesign:
+    def test_given_design_is_placed_without_synthesis(self, netlist, base_design, monkeypatch):
+        calls = []
+        synthesize = Compact.synthesize_netlist
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs.get("order"))
+            return synthesize(self, *args, **kwargs)
+
+        monkeypatch.setattr(Compact, "synthesize_netlist", counted)
+        fm = FaultMap(base_design.num_rows + 2, base_design.num_cols + 2, ())
+        ft = synthesize_fault_tolerant(netlist, fm, design=base_design)
+        assert calls == []
+        assert ft.synthesis is None and not ft.resynthesized
+        assert sorted(ft.design.cells()) == sorted(base_design.cells())
+
+    def test_yield_resynthesis_reuses_the_circuit_design(self, monkeypatch):
+        # One synthesis before the trial loop; the trials only synthesize
+        # alternative orders, never the default order again.
+        from repro.robust import yield_comparison
+
+        unordered = []
+        synthesize = Compact.synthesize_netlist
+
+        def counted(self, netlist, order=None):
+            if order is None:
+                unordered.append(netlist.name)
+            return synthesize(self, netlist, order=order)
+
+        monkeypatch.setattr(Compact, "synthesize_netlist", counted)
+        (result,) = yield_comparison(names=["c17"], trials=3, resynthesize=True)
+        assert result.trials == 3
+        assert len(unordered) == 1

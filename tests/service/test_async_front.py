@@ -106,12 +106,9 @@ def test_pipelined_batches_stay_ordered_and_counters_stay_exact(server):
     assert snap["service_jobs_submitted"] == total + 1
     assert snap["service_jobs_completed"] == 1
     assert snap.get("service_cache_misses", 0) == 1
-    # Each storm response was a cache hit or coalesced onto one within
-    # its pipelined batch; nothing was deduped (no jobs were in flight).
-    hits = snap.get("service_cache_hits", 0)
-    coalesced = snap.get("service_batch_coalesced", 0)
-    assert hits + coalesced == total
-    assert coalesced >= 1  # at least some frames shared a batch lookup
+    # Each storm response was its own cache hit; nothing was deduped
+    # (no jobs were in flight).
+    assert snap.get("service_cache_hits", 0) == total
     assert snap.get("service_dedup_hits", 0) == 0
 
 
@@ -127,7 +124,6 @@ def test_distinct_pipelined_frames_are_not_coalesced(server):
         frame = json.loads(reader.readline())
         assert frame["ok"] is True and frame["id"] == i
     sock.close()
-    assert counters.get("service_batch_coalesced") == 0
     assert counters.get("service_jobs_submitted") == len(exprs)
 
 

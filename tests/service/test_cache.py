@@ -169,6 +169,20 @@ def test_capacity_must_be_positive():
         ResultCache(capacity=0)
 
 
+def test_retired_solver_jobs_param_is_ignored_by_the_key():
+    # The labeling solve has one thread, so a request that still sends
+    # solver_jobs means the same job as one without it.
+    from repro.service.cache import CACHE_KEY_SCHEMA
+    from repro.service.jobs import execute
+
+    assert CACHE_KEY_SCHEMA == "repro-service-key/6"
+    plain = {"expr": "(a & b) | c"}
+    legacy = dict(plain, solver_jobs=4)
+    assert request_key("synth", legacy) == request_key("synth", plain)
+    designs = [execute("synth", p)["result"]["design_json"] for p in (plain, legacy)]
+    assert designs[0] == designs[1]
+
+
 def test_synth_key_distinguishes_layer_counts():
     base = request_key("synth", {"expr": "a & b"})
     explicit = request_key("synth", {"expr": "a & b", "layers": 1})

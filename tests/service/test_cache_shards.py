@@ -1,14 +1,11 @@
-"""Sharded cache: parity with the unsharded cache, per-shard LRU
-bounds, the incremental disk census, remote tiers, the key memo, and
-the validate fault-map key regression.
+"""Result cache: concurrent lookups under its one lock, the
+incremental disk census, remote tiers, the key memo, and the validate
+fault-map key regression.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-
-import pytest
 
 from repro.perf import counters
 from repro.service.cache import ResultCache, request_key
@@ -16,54 +13,17 @@ from repro.service.remote import DirectoryRemoteTier, InMemoryRemoteTier, Remote
 
 
 def _keys(count: int) -> list[str]:
-    # Realistic keys: hex digests, so the prefix-shard router engages.
+    # Realistic keys: hex digests, as request_key produces them.
     import hashlib
 
     return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(count)]
 
 
-# -- shard parity and bounds -------------------------------------------------------
-
-def test_sharded_cache_matches_unsharded_get_put_parity():
-    keys = _keys(64)
-    rng = random.Random(11)
-    flat = ResultCache(capacity=1024, shards=1)
-    sharded = ResultCache(capacity=1024, shards=8)
-    for step in range(400):
-        key = keys[rng.randrange(len(keys))]
-        if rng.random() < 0.4:
-            value = {"step": step, "key": key}
-            flat.put(key, value)
-            sharded.put(key, value)
-        else:
-            assert flat.get(key) == sharded.get(key)
-    for key in keys:
-        assert flat.get(key) == sharded.get(key)
-
-
-def test_per_shard_lru_bounds_and_total_capacity():
-    cache = ResultCache(capacity=8, shards=4)
-    for key in _keys(100):
-        cache.put(key, {"k": key})
-    stats = cache.stats()
-    assert stats["shards"] == 4
-    assert len(stats["shard_sizes"]) == 4
-    assert all(size <= 2 for size in stats["shard_sizes"])  # 8 / 4 per shard
-    assert stats["entries_mem"] <= 8
-    assert stats["evictions"] >= 100 - 8
-
-
-def test_shards_are_clamped_to_capacity_and_default_preserves_global_lru():
-    # shards > capacity cannot give every shard a slot; clamp instead.
-    cache = ResultCache(capacity=2, shards=16)
-    assert cache.stats()["shards"] == 2
-    with pytest.raises(ValueError):
-        ResultCache(capacity=4, shards=0)
-
+# -- concurrency -------------------------------------------------------------------
 
 def test_sharded_lookups_do_not_serialize_across_shards():
-    """A slow disk read on one key must not block another shard's hit."""
-    cache = ResultCache(capacity=64, shards=8)
+    """Concurrent readers of one cache each get their own key's value."""
+    cache = ResultCache(capacity=64)
     keys = _keys(8)
     for key in keys:
         cache.put(key, {"k": key})
@@ -102,11 +62,11 @@ def test_stats_never_globs_the_cache_directory(tmp_path, monkeypatch):
 
 def test_disk_census_survives_rebirth_and_tracks_drops(tmp_path):
     keys = _keys(3)
-    cache = ResultCache(capacity=8, directory=tmp_path, shards=4)
+    cache = ResultCache(capacity=8, directory=tmp_path)
     for key in keys:
         cache.put(key, {"k": key})
 
-    reborn = ResultCache(capacity=8, directory=tmp_path, shards=4)
+    reborn = ResultCache(capacity=8, directory=tmp_path)
     assert reborn.stats()["entries_disk"] == 3
     # Corrupt one entry: the lookup discards it and the census follows.
     (tmp_path / f"{keys[0]}.json").write_text("{ torn")
@@ -121,8 +81,8 @@ def test_disk_census_survives_rebirth_and_tracks_drops(tmp_path):
 def test_in_memory_remote_tier_shares_results_between_nodes():
     counters.reset()
     remote = InMemoryRemoteTier()
-    node_a = ResultCache(capacity=8, shards=2, remote=remote)
-    node_b = ResultCache(capacity=8, shards=2, remote=remote)
+    node_a = ResultCache(capacity=8, remote=remote)
+    node_b = ResultCache(capacity=8, remote=remote)
     key = _keys(1)[0]
     node_a.put(key, {"answer": 42})
     assert len(remote) == 1
@@ -167,9 +127,10 @@ def test_failing_remote_tier_never_breaks_the_cache():
 
 
 def test_stats_reports_shard_layout_and_remote_tier():
-    cache = ResultCache(capacity=16, shards=4, remote=InMemoryRemoteTier())
+    cache = ResultCache(capacity=16, remote=InMemoryRemoteTier())
     stats = cache.stats()
-    assert stats["shards"] == 4
+    # One lock and one LRU front: there is no shard layout to report.
+    assert "shards" not in stats and "shard_sizes" not in stats
     assert stats["remote_tier"] == "InMemoryRemoteTier"
     assert ResultCache(capacity=4).stats()["remote_tier"] is None
 
@@ -207,7 +168,7 @@ def test_engine_memoizes_request_keys_and_serves_encoded_hits():
     from repro.service.engine import Engine
 
     counters.reset()
-    cache = ResultCache(capacity=16, shards=2)
+    cache = ResultCache(capacity=16)
     with Engine(jobs=1, queue_size=4, cache=cache) as engine:
         params = {"expr": "a & b", "gamma": 0.5}
         key = engine.request_key_memo("synth", params)

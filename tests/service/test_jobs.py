@@ -76,6 +76,31 @@ def test_map_remaps_onto_faulty_array(c17_netlist):
     assert result["array"]["rows"] == design.num_rows + 2
 
 
+def test_map_resynthesize_tries_the_request_design_first():
+    # A design made with other knobs than Compact()'s defaults: on an
+    # empty array it must come back cell for cell, resynthesize or not.
+    from repro.bench.suites import circuit
+    from repro.crossbar import FaultMap, design_from_json
+
+    netlist = circuit("voter9")
+    design = Compact(gamma=0, method="mip").synthesize_netlist(netlist).design
+    params = {
+        "circuit": {"format": "blif", "text": write_blif(netlist)},
+        "design_json": design_to_json(design),
+        "fault_map": fault_map_to_json(
+            FaultMap(design.num_rows + 2, design.num_cols + 2, ())
+        ),
+    }
+    for resynthesize in (False, True):
+        payload = jobs.execute("map", dict(params, resynthesize=resynthesize))
+        assert payload["ok"] is True, payload
+        result = payload["result"]
+        assert result["stage"] == "identity"
+        assert result["resynthesized"] is False
+        mapped = design_from_json(result["design_json"])
+        assert sorted(mapped.cells()) == sorted(design.cells())
+
+
 def test_map_without_a_circuit_is_a_bad_request():
     payload = jobs.execute("map", {"expr": "a & b", "design_json": "{}"})
     assert payload["error"]["code"] == "bad_request"

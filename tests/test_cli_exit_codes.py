@@ -154,6 +154,20 @@ def test_serve_rejects_bad_tcp_and_cache_size(capsys):
     assert _exit_code(["serve", "--tcp", "127.0.0.1:0", "--cache-size", "-1"]) == 2
 
 
+C17_V = str(REPO_ROOT / "examples" / "circuits" / "c17.v")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", C17_V, "--jobs", "2"],
+    ["serve", "--tcp", "127.0.0.1:0", "--cache-shards", "4"],
+    ["client", "--tcp", "127.0.0.1:1", "synth", C17_V, "--jobs", "2"],
+    ["bench", "perf", "--circuits", "c17", "--solver-jobs", "2"],
+])
+def test_retired_thread_and_shard_flags_exit_two(capsys, argv):
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_client_requires_an_address(capsys):
     assert _exit_code(["client", "ping"]) == 2
     assert "--socket" in capsys.readouterr().err
