@@ -1,13 +1,20 @@
-"""Perf smoke benchmark: in-place sifting vs the rebuild oracle, and
-guards on the committed ``BENCH_compact.json`` baseline.
+"""Perf smoke benchmark: in-place sifting vs its oracles, and guards on
+the committed ``BENCH_compact.json`` baseline.
 
 * in-place :func:`repro.bdd.ordering.sift_order` reaches an SBDD size
   no larger than the rebuild-based sifter (:func:`sift_order_rebuild`,
   kept here as the oracle) on *every* suite circuit, with **zero** SBDD
   rebuilds during the position scan (verified by the ``sbdd_rebuilds``
   counter);
+* the reference-counted sifter follows the walk-per-swap sifter it
+  replaced (:func:`sift_walk`, kept here as the oracle) exactly: same
+  order, swap count and final size on every fast-tier circuit, from
+  the static order, from a shuffled one and under ``max_growth``;
 * end-to-end ``sift_order`` wall time on the largest suite circuit
-  improves by at least 5x over the rebuild sifter;
+  improves by at least 5x over the rebuild sifter and by at least 3x
+  over the walk oracle;
+* the labeling's stitch lower bound never exceeds the exact aligned OCT
+  on any fast-tier circuit;
 * the perf harness payload and the committed baseline validate against
   the schema;
 * the committed baseline is self-consistent (its layer sweep's K=1
@@ -19,13 +26,15 @@ guards on the committed ``BENCH_compact.json`` baseline.
 from __future__ import annotations
 
 import json
+import random
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.bdd import build_sbdd, sift_order, static_order
+from repro.bdd import build_sbdd, sift_order, static_order, swap_adjacent
 from repro.bdd.ordering import sbdd_size_for_order
+from repro.bdd.manager import TRUE_ID
 from repro.bench.suites import circuit, suite
 from repro.perf import counters, validate_bench_payload
 from repro.perf.harness import run_perf_suite, write_bench_json
@@ -66,6 +75,89 @@ def sift_order_rebuild(netlist, start=None, max_rounds=1):
         if not improved:
             break
     return order
+
+
+def _walk_collect(manager, roots):
+    """Walk the live set; GC at the sifter's ``4 * live + 512`` rule."""
+    live = len(manager.reachable(roots))
+    if manager.table_size() > 4 * live + 512:
+        remap = manager.collect_garbage(roots)
+        roots[:] = [remap[r] for r in roots]
+    return live
+
+
+def _walk_move_var(manager, name, target_level, roots):
+    """Move ``name`` by raw adjacent swaps, walking after each one."""
+    current = manager.level_of(name)
+    live = -1
+    while current < target_level:
+        swap_adjacent(manager, current)
+        live = _walk_collect(manager, roots)
+        current += 1
+    while current > target_level:
+        swap_adjacent(manager, current - 1)
+        live = _walk_collect(manager, roots)
+        current -= 1
+    return live if live >= 0 else len(manager.reachable(roots))
+
+
+def sift_walk(manager, roots, max_growth=None, max_rounds=1, stats=None):
+    """Walk-per-swap sifting: the oracle for the reference-counted sifter.
+
+    The same trajectory as :func:`repro.bdd.reorder.sift` (visiting
+    order, ascending scan, earliest strictly-smaller tie-break, polish
+    round, ``max_growth``), but the live size after every swap is a
+    ``reachable`` walk and every swap scans the whole node table.
+    """
+    best_total = len(manager.reachable(roots))
+    n_levels = len(manager.var_order)
+    swaps_before = manager.swap_count
+
+    def sift_round(names):
+        nonlocal best_total
+        improved = False
+        for name in names:
+            base = manager.level_of(name)
+            best_pos, best_here = base, best_total
+            if base != 0:
+                _walk_move_var(manager, name, 0, roots)
+            size = len(manager.reachable(roots))
+            if size < best_here:
+                best_here, best_pos = size, 0
+            for pos in range(1, n_levels):
+                size = _walk_move_var(manager, name, pos, roots)
+                if size < best_here:
+                    best_here, best_pos = size, pos
+                elif max_growth is not None and size > max_growth * best_here:
+                    break
+            _walk_move_var(manager, name, best_pos, roots)
+            if best_here < best_total:
+                best_total = best_here
+                improved = True
+        return improved
+
+    for _ in range(max_rounds):
+        if not sift_round(list(manager.var_order)):
+            break
+    if n_levels > 1:
+        population: dict[str, int] = {}
+        for node in manager.reachable(roots):
+            if node > TRUE_ID:
+                var = manager.var_of(node)
+                population[var] = population.get(var, 0) + 1
+        sift_round(sorted(manager.var_order, key=lambda v: -population.get(v, 0)))
+    if stats is not None:
+        stats["final_size"] = len(manager.reachable(roots))
+        stats["swaps"] = manager.swap_count - swaps_before
+    return list(manager.var_order)
+
+
+def sift_order_walk(netlist, start, max_growth=None, stats=None):
+    """:func:`sift_order`, one round, through the walk oracle."""
+    sbdd = build_sbdd(netlist, order=list(start))
+    return sift_walk(
+        sbdd.manager, list(sbdd.roots.values()), max_growth=max_growth, stats=stats
+    )
 
 
 def _committed_baseline() -> dict:
@@ -125,6 +217,76 @@ def test_sift_speedup_on_largest_circuit(save_result):
         f"speedup={speedup:.1f}x",
     )
     assert speedup >= 5.0, f"only {speedup:.1f}x on {LARGEST}"
+
+
+def _shuffled_order(netlist):
+    order = static_order(netlist)
+    random.Random(1).shuffle(order)
+    return order
+
+
+WALK_PARITY = (
+    [(name, "static", None) for name in FAST_NAMES]
+    + [(name, "shuffled", None) for name in FAST_NAMES]
+    + [("rca8", "shuffled", 1.2)]
+)
+
+
+@pytest.mark.parametrize("name,start,max_growth", WALK_PARITY)
+def test_sift_matches_walk_oracle(name, start, max_growth):
+    """Reference counts change how the live size is known, not what it
+    is: the sifter's order, swap count and final size are the walk
+    oracle's."""
+    netlist = circuit(name)
+    order = static_order(netlist) if start == "static" else _shuffled_order(netlist)
+    want: dict = {}
+    got: dict = {}
+    oracle = sift_order_walk(netlist, order, max_growth=max_growth, stats=want)
+    sifted = sift_order(netlist, start=order, max_growth=max_growth, stats=got)
+    assert sifted == oracle
+    assert (got["swaps"], got["final_size"]) == (want["swaps"], want["final_size"])
+
+
+def test_sift_speedup_over_walk_oracle(save_result):
+    """>=3x over walking the live set after every swap."""
+    netlist = circuit(LARGEST)
+    start = static_order(netlist)
+
+    def best_of_three(run):
+        times = []
+        for _ in range(3):
+            t0 = time.monotonic()
+            run()
+            times.append(time.monotonic() - t0)
+        return min(times)
+
+    t_walk = best_of_three(lambda: sift_order_walk(netlist, start))
+    t_refs = best_of_three(lambda: sift_order(netlist, start=start, max_rounds=1))
+    speedup = t_walk / max(t_refs, 1e-9)
+    save_result(
+        "perf_smoke_walk_speedup",
+        f"{LARGEST}: walk={t_walk:.3f}s refcount={t_refs:.3f}s speedup={speedup:.1f}x",
+    )
+    assert speedup >= 3.0, f"only {speedup:.1f}x over the walk oracle on {LARGEST}"
+
+
+@pytest.mark.parametrize("name", FAST_NAMES)
+def test_stitch_bound_never_exceeds_the_aligned_oct(name):
+    """The stage-1 labeling certifies at most the exact aligned OCT as
+    its stitch lower bound.  Stage 1 is shared by every layer count, so
+    this holds the K=2 and K=3 ``certified_s_lb`` of the bench rows
+    too (``layered_capacity_bound`` grows with the stitch bound)."""
+    from repro.core import Compact, preprocess
+    from repro.core.klabel import stitch_lower_bound
+    from repro.graphs import aligned_odd_cycle_transversal
+
+    netlist = circuit(name)
+    order = sift_order(netlist, start=static_order(netlist), max_rounds=1)
+    bg = preprocess(build_sbdd(netlist, order=order))
+    labeling = Compact(gamma=0.5, time_limit=20).label(bg)
+    exact = aligned_odd_cycle_transversal(bg.graph, bg.port_nodes())
+    assert exact.optimal
+    assert stitch_lower_bound(labeling) <= len(exact.oct_set)
 
 
 def test_rebuild_baseline_counts_every_candidate():

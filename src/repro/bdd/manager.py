@@ -193,10 +193,6 @@ class BDD:
     def true(self) -> int:
         return TRUE_ID
 
-    def _unique_key(self, node: int) -> tuple[int, int, int]:
-        """Unique key for ``node``'s current (level, low, high)."""
-        return (self._var_level[node], self._low[node], self._high[node])
-
     def _mk(self, level: int, low: int, high: int) -> int:
         """Hash-consed node constructor with redundant-test elimination."""
         if low == high:
@@ -215,25 +211,6 @@ class BDD:
         unique[key] = node
         return node
 
-    def _unique_remove(self, node: int) -> None:
-        """Drop the entry under ``node``'s current triple (if any).
-
-        Keyed by triple, so when a twin overwrote ``node``'s key the
-        twin's entry is removed instead — indistinguishable in the only
-        caller (reordering), which clears *entire levels* before
-        re-keying them.
-        """
-        self._unique.pop(self._unique_key(node), None)
-
-    def _unique_insert(self, node: int) -> None:
-        """(Re-)register ``node`` under its current (level, low, high).
-
-        Dict assignment semantics: an existing entry with the same triple
-        is overwritten — reordering relies on this when a rewritten node
-        reclaims a key a dead node still holds.
-        """
-        self._unique[self._unique_key(node)] = node
-
     def unique_entries(self) -> Iterable[tuple[tuple[int, int, int], int]]:
         """Yield ``((level, low, high), node)`` per unique-table entry.
 
@@ -243,7 +220,8 @@ class BDD:
         yield from self._unique.items()
 
     def _level_nodes(self, level: int) -> list[int]:
-        """Ids of all table nodes at ``level``."""
+        """Ids of all table nodes at ``level`` (nodes that sifting
+        released carry level -1, so they never match)."""
         var_level = self._var_level
         return [n for n in range(2, len(var_level)) if var_level[n] == level]
 

@@ -15,6 +15,14 @@ the identity
 where ``fij`` is the cofactor of ``fi`` at ``y = j``.  Reduction
 guarantees no canonicity collisions (see the inline proofs), so the
 unique table only needs re-keying at the two affected levels.
+
+Sifting keeps reference counts in the style of Rudell's in-place
+sifting as CUDD implements it: every node the roots reach counts its
+live parents plus root handles, and every level keeps the set of its
+live nodes.  A swap reads its two levels from those sets, counts new
+children before it releases old ones, and a node whose count reaches
+zero leaves the unique table at once and releases its own children.
+The live size after a swap is then a counter, not a walk.
 """
 
 from __future__ import annotations
@@ -27,6 +35,14 @@ from .manager import BDD, TRUE_ID
 
 __all__ = ["swap_adjacent", "sift", "sift_sbdd"]
 
+#: Level stamped on a node that sifting released: it has left the
+#: unique table, and table scans (``BDD._level_nodes``) skip it.
+_FREED = -1
+
+#: Reference count of every existing node in a raw :func:`swap_adjacent`:
+#: larger than any release count, so no node dies there.
+_PINNED = 1 << 30
+
 
 def swap_adjacent(manager: BDD, level: int) -> None:
     """Swap the variables at ``level`` and ``level + 1`` in place.
@@ -37,27 +53,44 @@ def swap_adjacent(manager: BDD, level: int) -> None:
     level-independent op cache (not/and/or/xor/ite results) stays valid;
     only the level-dependent cache (restrict/exists/compose entries,
     which embed variable levels) is invalidated.
+
+    Every table node at the two levels is rewritten (a table scan), and
+    every existing node is pinned, so none is released.
     """
-    order = manager._order
-    if not 0 <= level < len(order) - 1:
+    if not 0 <= level < len(manager._order) - 1:
         raise IndexError(f"no adjacent pair at level {level}")
-    upper = level
-    lower = level + 1
+    levels = {
+        level: set(manager._level_nodes(level)),
+        level + 1: set(manager._level_nodes(level + 1)),
+    }
+    _swap(manager, level, [_PINNED] * manager.table_size(), levels)
 
-    nodes_x = manager._level_nodes(upper)
-    nodes_y = manager._level_nodes(lower)
 
+def _swap(manager: BDD, upper: int, refs: list[int], levels) -> int:
+    """Swap levels ``upper`` and ``upper + 1`` over the nodes in ``levels``.
+
+    ``levels[upper]`` and ``levels[upper + 1]`` are the node sets to
+    rewrite; both are replaced by the sets after the swap, and a
+    released node leaves ``levels`` at its own level.  ``refs`` counts
+    references per node id and grows with every node the swap creates.
+    Returns the change in node count (created minus released).
+    """
+    lower = upper + 1
+    order = manager._order
     var_level = manager._var_level
     low = manager._low
     high = manager._high
     unique = manager._unique
+    mk = manager._mk
+    nodes_x = levels[upper]
+    nodes_y = levels[lower]
 
-    # Drop stale unique-table entries for both levels (inline
+    # Drop the unique-table entries of both levels (inline
     # (level, low, high) keys keep this loop method-call-free).
     for n in nodes_x:
-        unique.pop((upper, low[n], high[n]), None)
+        del unique[(upper, low[n], high[n])]
     for m in nodes_y:
-        unique.pop((lower, low[m], high[m]), None)
+        del unique[(lower, low[m], high[m])]
 
     # The variables trade places.
     x_name, y_name = order[upper], order[lower]
@@ -73,6 +106,7 @@ def swap_adjacent(manager: BDD, level: int) -> None:
     # x-nodes that do not test y: same children, new level.  Registering
     # them *before* rewriting the dependent nodes lets the rewrite share
     # them instead of duplicating (x, f0, f1) at the new level.
+    moved_down = set()
     dependent = []
     for n in nodes_x:
         if var_level[low[n]] == upper or var_level[high[n]] == upper:
@@ -81,14 +115,34 @@ def swap_adjacent(manager: BDD, level: int) -> None:
         else:
             var_level[n] = lower
             unique[(lower, low[n], high[n])] = n
+            moved_down.add(n)
+    levels[upper] = nodes_y
+    levels[lower] = moved_down
 
     # Dependent x-nodes become y-nodes via the swap identity.
+    delta = 0
     for n in dependent:
         f0, f1 = low[n], high[n]
-        f00, f01 = _cofactor_pair(manager, f0, upper)
-        f10, f11 = _cofactor_pair(manager, f1, upper)
-        a = manager._mk(lower, f00, f10)
-        b = manager._mk(lower, f01, f11)
+        if var_level[f0] == upper:
+            f00, f01 = low[f0], high[f0]
+        else:
+            f00 = f01 = f0
+        if var_level[f1] == upper:
+            f10, f11 = low[f1], high[f1]
+        else:
+            f10 = f11 = f1
+        # New children are counted before the old ones are released, so
+        # a node that is both never drops to zero in between.
+        a = mk(lower, f00, f10)
+        b = mk(lower, f01, f11)
+        for child, lo, hi in ((a, f00, f10), (b, f01, f11)):
+            if child == len(refs):  # freshly allocated: it holds its children
+                refs.append(0)
+                refs[lo] += 1
+                refs[hi] += 1
+                moved_down.add(child)
+                delta += 1
+            refs[child] += 1
         # A rewritten node can never collide with an existing y-node:
         # that would force f0 == f1 (both (y, f00, f01)), which reduction
         # forbids.  Distinct rewritten nodes stay distinct because node
@@ -97,20 +151,43 @@ def swap_adjacent(manager: BDD, level: int) -> None:
         low[n] = a
         high[n] = b
         unique[(upper, a, b)] = n
+        nodes_y.add(n)
+        refs[f0] -= 1
+        if not refs[f0] and f0 > TRUE_ID:
+            delta -= _release(manager, f0, refs, levels)
+        refs[f1] -= 1
+        if not refs[f1] and f1 > TRUE_ID:
+            delta -= _release(manager, f1, refs, levels)
 
     manager._lvl_cache.clear()
     manager.swap_count += 1
     counters.increment("reorder_swaps")
+    return delta
 
 
-def _cofactor_pair(manager: BDD, node: int, y_level: int) -> tuple[int, int]:
-    if manager._var_level[node] == y_level:
-        return manager._low[node], manager._high[node]
-    return node, node
-
-
-def _live_size(manager: BDD, roots: Sequence[int]) -> int:
-    return len(manager.reachable(roots))
+def _release(manager: BDD, node: int, refs: list[int], levels) -> int:
+    """Free ``node`` (whose count just reached zero) and, transitively,
+    every child it held the last reference to.  Returns the count freed."""
+    var_level = manager._var_level
+    low = manager._low
+    high = manager._high
+    unique = manager._unique
+    freed = 0
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        lvl, lo, hi = var_level[n], low[n], high[n]
+        del unique[(lvl, lo, hi)]
+        levels[lvl].remove(n)
+        var_level[n] = _FREED
+        freed += 1
+        refs[lo] -= 1
+        if not refs[lo] and lo > TRUE_ID:
+            stack.append(lo)
+        refs[hi] -= 1
+        if not refs[hi] and hi > TRUE_ID:
+            stack.append(hi)
+    return freed
 
 
 #: Collect garbage once the table exceeds ``_GC_FACTOR * live + _GC_SLACK``
@@ -120,43 +197,72 @@ _GC_FACTOR = 4
 _GC_SLACK = 512
 
 
-def _maybe_collect(manager: BDD, roots: Sequence[int]) -> int:
-    """GC the manager when swap garbage dominates the table.
+class _LiveTable:
+    """Reference counts and per-level live sets of what ``roots`` reach.
 
-    Swap rewrites allocate fresh nodes, so long swap sequences strand
-    exponentially many dead nodes (every later swap then re-rewrites
-    them).  When ``roots`` is a mutable list its entries are remapped in
-    place; other id handles into the manager become invalid.  Returns
-    the live node count so callers don't traverse twice per swap.
+    Building the table releases every node no root reaches (it leaves
+    the unique table, so no later swap has to rewrite it) and drops the
+    op cache, whose entries may name those nodes.  ``roots`` is the
+    caller's list when it is one, and garbage collection remaps it in
+    place.
     """
-    live = len(manager.reachable(roots))
-    if manager.table_size() > _GC_FACTOR * live + _GC_SLACK:
-        remap = manager.collect_garbage(roots)
-        if isinstance(roots, list):
-            roots[:] = [remap[r] for r in roots]
-        counters.increment("reorder_gcs")
-    return live
 
+    def __init__(self, manager: BDD, roots: Sequence[int]):
+        self.manager = manager
+        self.roots = roots if isinstance(roots, list) else list(roots)
+        self._track()
 
-def move_var(manager: BDD, name: str, target_level: int, roots: Sequence[int]) -> int:
-    """Move ``name`` to ``target_level`` by adjacent swaps.
+    def _track(self) -> None:
+        m = self.manager
+        var_level = m._var_level
+        low = m._low
+        high = m._high
+        live = m.reachable(self.roots)
+        refs = [0] * m.table_size()
+        levels: list[set[int]] = [set() for _ in m._order]
+        for n in live:
+            if n > TRUE_ID:
+                levels[var_level[n]].add(n)
+                refs[low[n]] += 1
+                refs[high[n]] += 1
+        for r in self.roots:
+            refs[r] += 1
+        unique = m._unique
+        for n in range(TRUE_ID + 1, len(refs)):
+            if not refs[n] and var_level[n] != _FREED:
+                del unique[(var_level[n], low[n], high[n])]
+                var_level[n] = _FREED
+        m._cache.clear()
+        self.refs = refs
+        self.levels = levels
+        self.size = len(live)
 
-    Returns the live node count (reachable from ``roots``) afterwards.
-    May garbage-collect dead swap debris along the way: pass ``roots``
-    as a mutable list to have its handles remapped in place (any other
-    node ids held by the caller are only safe below the GC threshold).
-    """
-    current = manager._level[name]
-    live = -1
-    while current < target_level:
-        swap_adjacent(manager, current)
-        live = _maybe_collect(manager, roots)
-        current += 1
-    while current > target_level:
-        swap_adjacent(manager, current - 1)
-        live = _maybe_collect(manager, roots)
-        current -= 1
-    return live if live >= 0 else _live_size(manager, roots)
+    def swap(self, level: int) -> int:
+        """Swap ``level`` with the one below; returns the live size.
+
+        Garbage-collects when the table outgrows ``_GC_FACTOR`` times
+        the live size (plus slack), a check that costs no walk.
+        """
+        self.size += _swap(self.manager, level, self.refs, self.levels)
+        m = self.manager
+        if m.table_size() > _GC_FACTOR * self.size + _GC_SLACK:
+            remap = m.collect_garbage(self.roots)
+            self.roots[:] = [remap[r] for r in self.roots]
+            counters.increment("reorder_gcs")
+            self._track()
+        return self.size
+
+    def move(self, name: str, target_level: int) -> int:
+        """Move ``name`` to ``target_level`` by adjacent swaps; returns
+        the live size afterwards."""
+        current = self.manager._level[name]
+        while current < target_level:
+            self.swap(current)
+            current += 1
+        while current > target_level:
+            self.swap(current - 1)
+            current -= 1
+        return self.size
 
 
 def sift(
@@ -189,26 +295,23 @@ def sift(
     ``final_size``, ``swaps`` (adjacent swaps this call performed) and
     ``rounds``.
 
-    Long swap sequences strand dead nodes, so sifting garbage-collects
-    the manager when the table outgrows the live set; pass ``roots`` as
-    a mutable list (the usual case) to have the handles remapped in
-    place.  Any other node ids held by the caller may be invalidated —
-    use :func:`sift_sbdd` to keep an SBDD's root dict consistent.
+    The live size is kept by reference counts (see the module
+    docstring).  Nodes no root reaches are released, and long swap
+    sequences strand released nodes in the append-only table, so
+    sifting garbage-collects the manager when the table outgrows the
+    live set; pass ``roots`` as a mutable list (the usual case) to have
+    the handles remapped in place.  Any other node ids held by the
+    caller may be invalidated, and the op cache is dropped — use
+    :func:`sift_sbdd` to keep an SBDD's root dict consistent.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    best_total = _live_size(manager, roots)
+    table = _LiveTable(manager, roots)
+    best_total = table.size
     n_levels = len(manager._order)
     swaps_before = manager.swap_count
     rounds_done = 0
     if stats is not None:
         stats["initial_size"] = best_total
-
-    def _finish(size: int) -> int:
-        if stats is not None:
-            stats["final_size"] = size
-            stats["swaps"] = manager.swap_count - swaps_before
-            stats["rounds"] = rounds_done
-        return size
 
     def _sift_round(names: list[str]) -> tuple[bool, bool]:
         """Sift each of ``names`` once; returns (improved, timed_out)."""
@@ -222,18 +325,16 @@ def sift(
             # Scan positions 0 .. n-1 in ascending order (keeping the
             # earliest strictly-smaller position, like the rebuild
             # sifter's candidate loop), then park at the winner.
-            if base != 0:
-                move_var(manager, name, 0, roots)
-            size = _live_size(manager, roots)
+            size = table.move(name, 0)
             if size < best_here:
                 best_here, best_pos = size, 0
             for pos in range(1, n_levels):
-                size = move_var(manager, name, pos, roots)
+                size = table.move(name, pos)
                 if size < best_here:
                     best_here, best_pos = size, pos
                 elif max_growth is not None and size > max_growth * best_here:
                     break
-            move_var(manager, name, best_pos, roots)
+            table.move(name, best_pos)
             if best_here < best_total:
                 best_total = best_here
                 improved = True
@@ -250,13 +351,15 @@ def sift(
         # One extra improvement-only pass, largest level population
         # first (the classic Rudell visiting order).
         rounds_done += 1
-        population: dict[str, int] = {}
-        for node in manager.reachable(roots):
-            if node > TRUE_ID:
-                var = manager.var_of(node)
-                population[var] = population.get(var, 0) + 1
-        _sift_round(sorted(manager._order, key=lambda v: -population.get(v, 0)))
-    return _finish(_live_size(manager, roots))
+        population = {
+            name: len(table.levels[level]) for level, name in enumerate(manager._order)
+        }
+        _sift_round(sorted(manager._order, key=lambda v: -population[v]))
+    if stats is not None:
+        stats["final_size"] = table.size
+        stats["swaps"] = manager.swap_count - swaps_before
+        stats["rounds"] = rounds_done
+    return table.size
 
 
 def sift_sbdd(sbdd, **kwargs) -> int:

@@ -285,10 +285,15 @@ class Compact:
                 and warm.max_dimension <= (warm.semiperimeter + 1) // 2
             ):
                 return warm
-        return label_weighted(
+        labeling = label_weighted(
             bdd_graph,
             gamma=self.gamma,
             backend=self.backend,
             time_limit=self.time_limit,
             warm_start=warm if self.backend == "bnb" else None,
         )
+        if warm is not None and warm.meta.get("optimal"):
+            # The weighted optimum need not be stitch-minimal; the warm
+            # solve's proven OCT is the stitch lower bound.
+            labeling.meta["oct_lower_bound"] = warm.meta["oct_size"]
+        return labeling

@@ -237,15 +237,19 @@ def stitch_lower_bound(labeling: VHLabeling) -> int:
 
     The stitch set of every K-layer labeling is an (aligned) odd cycle
     transversal — parity around a cycle is plane-independent — so the
-    stage-1 solver's bound transfers to every K.  When stage 1 proved
-    its stitch set optimal the achieved count is exact; otherwise the
-    solver's reported lower bound (if any) is used.
+    stage-1 solver's bound transfers to every K.  The achieved count is
+    exact only when stage 1 proved a stitch-minimal labeling: an optimal
+    OCT labeling, or an optimal MIP one at ``gamma = 1`` (S only).  An
+    optimal weighted labeling minimizes ``gamma*S + (1-gamma)*D``, not
+    its stitches, so otherwise the reported OCT lower bound (if any) is
+    used — :meth:`repro.core.Compact.label` records its proven OCT there.
     """
-    if labeling.meta.get("optimal"):
+    meta = labeling.meta
+    if meta.get("optimal") and (meta.get("method") == "oct" or meta.get("gamma") == 1.0):
         return sum(
             1 for lab in labeling.labels.values() if lab is Label.VH
         )
-    lower = labeling.meta.get("oct_lower_bound")
+    lower = meta.get("oct_lower_bound")
     if lower is None:
         return 0
     return max(0, math.ceil(lower - 1e-9))

@@ -2,26 +2,27 @@
 
 Evaluating one assignment is a BFS; evaluating thousands (Monte-Carlo
 validation, yield analysis, test benches) is much faster as a bit-
-parallel fixpoint over numpy boolean arrays: one row/column reachability
-matrix for *all* assignments at once, iterated until no assignment
-learns a new line.  :func:`bitset_evaluate` goes one step further and
-runs the *whole* ``2**n`` assignment space as packed uint64 words — 64
-assignments per machine word — which is what exhaustive validation uses.
+parallel fixpoint: one row/column reachability matrix for *all*
+assignments at once, iterated until no assignment learns a new line.
+Assignments are packed 64 per uint64 word, so one array cell carries 64
+of them.  :func:`bitset_evaluate` runs the *whole* ``2**n`` assignment
+space this way (exhaustive validation); :func:`batch_evaluate` packs the
+rows of a sampled assignment matrix and runs the same fixpoint.
 
-Both fixpoints scatter-OR cell contributions into their target lines.
-``np.logical_or.at`` does that directly but falls into the notoriously
+The fixpoint scatter-ORs cell contributions into their target lines.
+``np.bitwise_or.at`` does that directly but falls into the notoriously
 slow ``ufunc.at`` path; instead the cell list is sorted by target once
 (:func:`_scatter_plan`) and each iteration reduces contiguous segments
 with ``reduceat`` — pure vectorized code on the hot loop.
 
 Stuck-at faults are applied by masking the ``on`` matrix: a stuck-off
-cell's column is forced False, a stuck-on cell's forced True, and a
+cell's row is forced to zero, a stuck-on cell's to all ones, and a
 stuck-on fault at an unprogrammed crosspoint appends an always-on cell.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -136,8 +137,9 @@ def batch_evaluate(
 
     ``matrix`` is boolean, shaped (num_assignments, len(inputs)).
     Returns output name -> boolean vector of length num_assignments.
-    Matches :meth:`CrossbarDesign.evaluate` exactly (tested property);
-    with ``faults``, matches
+    The rows are packed 64 per word and run through the packed
+    fixpoint.  Matches :meth:`CrossbarDesign.evaluate` exactly (tested
+    property); with ``faults``, matches
     :func:`repro.crossbar.faults.evaluate_with_faults`.
     """
     matrix = np.asarray(matrix, dtype=bool)
@@ -152,63 +154,16 @@ def batch_evaluate(
             f"but {len(inputs)} inputs were named ({', '.join(inputs)})"
         )
     m = matrix.shape[0]
-    col_index = {name: j for j, name in enumerate(inputs)}
+    column = {name: j for j, name in enumerate(inputs)}
 
-    if faults:
-        cells, forced = _faulted_cells(design, faults)
-    else:
-        cells, forced = list(design.cells3d()), None
-    on = np.zeros((m, len(cells)), dtype=bool)
-    for i, (_l, _r, _c, lit) in enumerate(cells):
-        if forced is not None and forced[i] is not None:
-            on[:, i] = forced[i]
-        elif lit.var is None:
-            on[:, i] = lit.positive
-        else:
-            j = col_index.get(lit.var)
-            if j is None:
-                # KeyError, not ValueError: scalar ``design.evaluate``
-                # raises KeyError for a missing input, and the service
-                # layer classifies on that distinction.
-                raise KeyError(
-                    f"design {design.name!r} reads variable {lit.var!r} "
-                    f"which is not among the {len(inputs)} named inputs"
-                )
-            on[:, i] = matrix[:, j] if lit.positive else ~matrix[:, j]
+    def input_words(name: str) -> np.ndarray | None:
+        j = column.get(name)
+        return None if j is None else bitset.pack_bools(matrix[:, j])
 
-    h_ids, v_ids, num_h, num_v = _wire_geometry(design, cells)
-    rows = np.zeros((m, num_h), dtype=bool)
-    cols = np.zeros((m, num_v), dtype=bool)
-    rows[:, design.input_row] = True
-
-    if cells:
-        cell_rows = np.array(h_ids, dtype=np.intp)
-        cell_cols = np.array(v_ids, dtype=np.intp)
-        c_order, c_starts, c_targets = _scatter_plan(cell_cols)
-        r_order, r_starts, r_targets = _scatter_plan(cell_rows)
-        while True:
-            # Columns reachable through one conducting cell from reached
-            # rows, then rows reachable back through the new columns.
-            contrib = rows[:, cell_rows] & on
-            new_cols = cols.copy()
-            new_cols[:, c_targets] |= np.logical_or.reduceat(
-                contrib[:, c_order], c_starts, axis=1
-            )
-            back = new_cols[:, cell_cols] & on
-            new_rows = rows.copy()
-            new_rows[:, r_targets] |= np.logical_or.reduceat(
-                back[:, r_order], r_starts, axis=1
-            )
-            if np.array_equal(new_rows, rows) and np.array_equal(new_cols, cols):
-                break
-            rows, cols = new_rows, new_cols
-
-    result: dict[str, np.ndarray] = {}
-    for out, row in design.output_rows.items():
-        result[out] = rows[:, row].copy()
-    for out, value in design.constant_outputs.items():
-        result[out] = np.full(m, bool(value))
-    return result
+    packed = _evaluate_packed(
+        design, input_words, len(inputs), bitset.pack_bools(np.ones(m, dtype=bool)), faults
+    )
+    return {out: bitset.unpack_bools(words, m) for out, words in packed.items()}
 
 
 def bitset_evaluate(
@@ -219,66 +174,93 @@ def bitset_evaluate(
     """Evaluate every output over *all* ``2**len(inputs)`` assignments.
 
     Returns output name -> packed uint64 truth table (64 assignments
-    per word; see :mod:`repro.bitset` for the bit convention).  The
-    fixpoint is the same row/column reachability iteration as
-    :func:`batch_evaluate`, but one array cell carries 64 assignments,
-    so exhaustive validation runs at word speed.
+    per word; see :mod:`repro.bitset` for the bit convention), so
+    exhaustive validation runs at word speed.
     """
     names = list(inputs)
     n = len(names)
     position = {name: n - 1 - j for j, name in enumerate(names)}
+
+    def input_words(name: str) -> np.ndarray | None:
+        pos = position.get(name)
+        return None if pos is None else bitset.variable_mask(pos, n)
+
+    return _evaluate_packed(design, input_words, n, bitset.ones(n), faults)
+
+
+def _evaluate_packed(
+    design: CrossbarDesign,
+    input_words: Callable[[str], np.ndarray | None],
+    num_inputs: int,
+    ones: np.ndarray,
+    faults,
+) -> dict[str, np.ndarray]:
+    """The row/column reachability fixpoint over packed assignments.
+
+    ``ones`` has one bit per assignment (tail bits zero) and
+    ``input_words(name)`` gives an input's value under every assignment
+    in the same packing, or None when the input is not named.  Returns
+    output name -> packed output values.
+    """
     if faults:
         cells, forced = _faulted_cells(design, faults)
     else:
         cells, forced = list(design.cells3d()), None
-    words = bitset.num_words(n)
-    on = np.zeros((len(cells), words), dtype=np.uint64)
+    words: dict[str, np.ndarray] = {}
+    on = np.zeros((len(cells), ones.size), dtype=np.uint64)
     for i, (_l, _r, _c, lit) in enumerate(cells):
         if forced is not None and forced[i] is not None:
             if forced[i]:
-                on[i] = bitset.ones(n)
+                on[i] = ones
         elif lit.var is None:
             if lit.positive:
-                on[i] = bitset.ones(n)
+                on[i] = ones
         else:
-            pos = position.get(lit.var)
-            if pos is None:
-                # KeyError for parity with scalar ``design.evaluate``.
-                raise KeyError(
-                    f"design {design.name!r} reads variable {lit.var!r} "
-                    f"which is not among the {n} named inputs"
-                )
-            mask = bitset.variable_mask(pos, n)
-            on[i] = mask if lit.positive else bitset.bit_not(mask, n)
+            value = words.get(lit.var)
+            if value is None:
+                value = input_words(lit.var)
+                if value is None:
+                    # KeyError, not ValueError: scalar ``design.evaluate``
+                    # raises KeyError for a missing input, and the service
+                    # layer classifies on that distinction.
+                    raise KeyError(
+                        f"design {design.name!r} reads variable {lit.var!r} "
+                        f"which is not among the {num_inputs} named inputs"
+                    )
+                words[lit.var] = value
+            on[i] = value if lit.positive else value ^ ones
 
     h_ids, v_ids, num_h, num_v = _wire_geometry(design, cells)
-    rows = np.zeros((num_h, words), dtype=np.uint64)
-    cols = np.zeros((num_v, words), dtype=np.uint64)
-    rows[design.input_row] = bitset.ones(n)
+    rows = np.zeros((num_h, ones.size), dtype=np.uint64)
+    cols = np.zeros((num_v, ones.size), dtype=np.uint64)
+    rows[design.input_row] = ones
 
     if cells:
         cell_rows = np.array(h_ids, dtype=np.intp)
         cell_cols = np.array(v_ids, dtype=np.intp)
         c_order, c_starts, c_targets = _scatter_plan(cell_cols)
         r_order, r_starts, r_targets = _scatter_plan(cell_rows)
+        # Cells in column order feed the column scatter, cells in row
+        # order the row scatter, so no iteration permutes them again.
+        rows_by_col, on_by_col = cell_rows[c_order], on[c_order]
+        cols_by_row, on_by_row = cell_cols[r_order], on[r_order]
         while True:
-            contrib = rows[cell_rows] & on
-            new_cols = cols.copy()
-            new_cols[c_targets] |= np.bitwise_or.reduceat(
-                contrib[c_order], c_starts, axis=0
+            # Columns reachable through one conducting cell from reached
+            # rows, then rows reachable back through the new columns.
+            cols[c_targets] |= np.bitwise_or.reduceat(
+                rows[rows_by_col] & on_by_col, c_starts, axis=0
             )
-            back = new_cols[cell_cols] & on
-            new_rows = rows.copy()
-            new_rows[r_targets] |= np.bitwise_or.reduceat(
-                back[r_order], r_starts, axis=0
+            reached = np.bitwise_or.reduceat(
+                cols[cols_by_row] & on_by_row, r_starts, axis=0
             )
-            if np.array_equal(new_rows, rows) and np.array_equal(new_cols, cols):
+            # No row learns a new assignment: the columns are final too.
+            if not (reached & ~rows[r_targets]).any():
                 break
-            rows, cols = new_rows, new_cols
+            rows[r_targets] |= reached
 
     result: dict[str, np.ndarray] = {}
     for out, row in design.output_rows.items():
         result[out] = rows[row].copy()
     for out, value in design.constant_outputs.items():
-        result[out] = bitset.ones(n) if value else bitset.zeros(n)
+        result[out] = ones.copy() if value else np.zeros_like(ones)
     return result

@@ -37,6 +37,7 @@ from .protocol import (
     MAP_BATCH_DEFAULTS,
     MAP_DEFAULTS,
     SYNTH_DEFAULTS,
+    expr_name,
     knob,
 )
 
@@ -58,7 +59,9 @@ __all__ = [
 #: JSON load/save round trip is a fixed point).
 #: v6: synth keys drop ``solver_jobs`` (the labeling solve has one
 #: thread, so the knob never changed a design).
-CACHE_KEY_SCHEMA = "repro-service-key/6"
+#: v7: expression synth keys carry the output ``name`` (it names the
+#: design and its output).
+CACHE_KEY_SCHEMA = "repro-service-key/7"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 
@@ -147,6 +150,8 @@ def canonical_request(method: str, params: dict) -> dict:
     material: dict = {"schema": CACHE_KEY_SCHEMA, "request": method}
     if method == "synth":
         material.update(_canonical_circuit(params))
+        if "expr" in material:
+            material["name"] = expr_name(params)
         for name in SYNTH_DEFAULTS:
             value = knob(params, SYNTH_DEFAULTS, name)
             if name == "order" and value is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from .protocol import MAP_BATCH_DEFAULTS, MAP_DEFAULTS, SYNTH_DEFAULTS, knob
+from .protocol import MAP_BATCH_DEFAULTS, MAP_DEFAULTS, SYNTH_DEFAULTS, expr_name, knob
 
 __all__ = ["execute"]
 
@@ -48,7 +48,7 @@ def _load_function(params: dict):
 
         expr = parse(params["expr"])
         inputs = sorted(expr.variables())
-        return (lambda env: {"f": expr.evaluate(env)}), inputs, None, expr
+        return _expr_reference(expr, "f"), inputs, None, expr
     circuit = params.get("circuit")
     if not isinstance(circuit, dict):
         raise ValueError("request needs either 'expr' or a 'circuit' object")
@@ -63,6 +63,11 @@ def _load_function(params: dict):
         )
     netlist = reader(circuit.get("text", ""), source=circuit.get("source", "<request>"))
     return netlist.evaluate, netlist.inputs, netlist, None
+
+
+def _expr_reference(expr, name: str):
+    """Reference evaluator of one expression whose output is ``name``."""
+    return lambda env: {name: expr.evaluate(env)}
 
 
 def _validation_dict(report) -> dict:
@@ -91,7 +96,9 @@ def _synth(params: dict) -> dict:
     if netlist is not None:
         result = compact.synthesize_netlist(netlist, order=order)
     else:
-        result = compact.synthesize_expr(expr, order=order, name=params.get("name", "f"))
+        name = expr_name(params)
+        result = compact.synthesize_expr(expr, order=order, name=name)
+        reference = _expr_reference(expr, name)
 
     design = result.design
     metrics = measure(design)

@@ -134,6 +134,12 @@ def knob(params: dict, defaults: dict, name: str):
     return defaults[name] if value is None else value
 
 
+def expr_name(params: dict) -> str:
+    """The output (and design) name of an ``expr`` synth request:
+    omitted or null is ``"f"``."""
+    return knob(params, {"name": "f"}, "name")
+
+
 class ProtocolError(ValueError):
     """A frame violated the wire protocol (not a job-level failure)."""
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.bdd import BDD, build_sbdd, sift, sift_sbdd, swap_adjacent
-from repro.bdd.reorder import move_var
+from repro.bdd.reorder import _LiveTable
 from repro.circuits import comparator, random_netlist, ripple_carry_adder
 from repro.expr import parse
 from tests.conftest import all_envs
@@ -103,13 +103,29 @@ class TestSwapAdjacent:
 class TestMoveVar:
     def test_move_to_bottom_and_back(self):
         m = BDD(NAMES)
-        f = m.from_expr(parse("(a & b) | (c & d)"))
-        move_var(m, "a", 3, [f])
+        roots = [m.from_expr(parse("(a & b) | (c & d)"))]
+        table = _LiveTable(m, roots)
+        assert table.move("a", 3) == m.node_count(roots)
         assert m.var_order[3] == "a"
-        move_var(m, "a", 0, [f])
+        assert table.move("a", 0) == m.node_count(roots)
         assert m.var_order[0] == "a"
         for env in all_envs(NAMES):
-            assert m.evaluate(f, env) == parse("(a & b) | (c & d)").evaluate(env)
+            assert m.evaluate(roots[0], env) == parse("(a & b) | (c & d)").evaluate(env)
+        check_unique_table_consistent(m)
+
+    def test_released_nodes_leave_the_unique_table(self):
+        """Every unique-table entry is a live node after a move, and the
+        live sets hold exactly the nodes the roots reach."""
+        m = BDD(NAMES)
+        roots = [m.from_expr(parse("(a & b) | (c & d)")), m.from_expr(parse("a ^ d"))]
+        m.from_expr(parse("b & c & d"))  # dead: no root reaches it
+        table = _LiveTable(m, roots)
+        table.move("a", 3)
+        table.move("d", 0)
+        live = m.reachable(roots)
+        assert {node for _key, node in m.unique_entries()} == live - {0, 1}
+        assert set().union(*table.levels) == live - {0, 1}
+        check_unique_table_consistent(m)
 
 
 class TestSift:

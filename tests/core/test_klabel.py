@@ -5,10 +5,12 @@ import pytest
 from repro.bdd import build_sbdd, sbdd_from_exprs
 from repro.circuits import c17, majority_voter, parity_tree
 from repro.core import (
+    Compact,
     Label,
     KLabel,
     KLabeling,
     assign_planes,
+    label_min_semiperimeter,
     label_weighted,
     lift_labeling,
     preprocess,
@@ -16,6 +18,7 @@ from repro.core import (
 from repro.core.klabel import _zigzag_fold, stitch_lower_bound
 from repro.core.labeling import LabelingError
 from repro.expr import parse
+from repro.graphs import aligned_odd_cycle_transversal
 from repro.milp.model import Model, sum_expr
 
 
@@ -242,9 +245,37 @@ class TestDecomposedMilpAboveTheGate:
 
 class TestStitchLowerBound:
     def test_optimal_stage1_certifies_its_stitch_count(self):
+        bg = preprocess(build_sbdd(c17()))
+        lab = label_min_semiperimeter(bg)
+        assert lab.meta["method"] == "oct" and lab.meta["optimal"]
+        assert stitch_lower_bound(lab) == lab.vh_count
+
+    def test_weighted_optimum_does_not_certify_its_stitch_count(self):
+        # An optimal gamma=0.5 labeling minimizes gamma*S + (1-gamma)*D,
+        # so only a recorded OCT bound certifies stitches.
         bg, lab = labeled_graph(netlist=c17())
-        if lab.meta.get("optimal"):
-            assert stitch_lower_bound(lab) == lab.vh_count
+        assert lab.meta["method"] == "mip" and lab.meta["optimal"]
+        assert lab.vh_count > 0
+        assert stitch_lower_bound(lab) == 0
+        lab.meta["oct_lower_bound"] = 1
+        assert stitch_lower_bound(lab) == 1
+
+    @pytest.mark.parametrize("name", ["cmp8", "mux16", "ctrl_like"])
+    def test_compact_label_bound_never_exceeds_the_aligned_oct(self, name):
+        """The auto flow's weighted labeling carries its warm OCT solve's
+        proven size, never its own VH count (sifted order, as the bench
+        compiles it)."""
+        from repro.bdd import sift_order, static_order
+        from repro.bench.suites import circuit
+
+        netlist = circuit(name)
+        order = sift_order(netlist, start=static_order(netlist), max_rounds=1)
+        bg = preprocess(build_sbdd(netlist, order=order))
+        lab = Compact(gamma=0.5, time_limit=20).label(bg)
+        oct_result = aligned_odd_cycle_transversal(bg.graph, bg.port_nodes())
+        assert oct_result.optimal
+        assert lab.meta["oct_lower_bound"] == len(oct_result.oct_set)
+        assert stitch_lower_bound(lab) == len(oct_result.oct_set) < lab.vh_count
 
     def test_oct_bound_is_used_when_not_optimal(self):
         bg, lab = labeled_graph(netlist=c17())

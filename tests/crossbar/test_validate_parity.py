@@ -138,6 +138,63 @@ class TestBatchFaultParity:
             assert {k: bool(v[i]) for k, v in batch.items()} == ref
 
 
+class TestPackedBatchParity:
+    """``batch_evaluate`` packs its samples 64 per word: every sample
+    count around a word boundary, every layer count and every fault
+    kind must still match the scalar evaluators row by row."""
+
+    @staticmethod
+    def _fault_sets(design):
+        from repro.crossbar.design import h_plane, v_plane
+
+        cells = sorted((l, r, c) for l, r, c, _lit in design.cells3d())
+        (l0, r0, c0), (l1, r1, c1) = cells[0], cells[-1]
+        rows, cols = design.plane_sizes[h_plane(0)], design.plane_sizes[v_plane(0)]
+        free = next(
+            (r, c) for r in range(rows) for c in range(cols)
+            if (0, r, c) not in set(cells)
+        )
+        return [
+            [],
+            [Fault(r0, c0, STUCK_OFF, layer=l0)],
+            [Fault(r1, c1, STUCK_ON, layer=l1)],
+            [Fault(*free, STUCK_ON)],
+        ]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_matches_scalar_at_every_sample_count(self, layers):
+        nl = random_netlist(7, 30, 3, seed=11)
+        design = Compact(gamma=0.5, layers=layers).synthesize_netlist(nl).design
+        assert design.num_layers == layers
+        rng = np.random.default_rng(layers)
+        for faults in self._fault_sets(design):
+            for samples in (1, 63, 64, 65, 2000):
+                X = rng.random((samples, len(nl.inputs))) < 0.5
+                batch = batch_evaluate(design, nl.inputs, X, faults=faults)
+                for out, values in batch.items():
+                    assert values.dtype == bool and values.shape == (samples,)
+                for i in range(samples):
+                    env = dict(zip(nl.inputs, map(bool, X[i])))
+                    ref = (
+                        evaluate_with_faults(design, env, faults)
+                        if faults else design.evaluate(env)
+                    )
+                    got = {k: bool(v[i]) for k, v in batch.items()}
+                    assert got == ref, (layers, samples, faults, i)
+
+    def test_shape_and_missing_input_errors(self):
+        nl = random_netlist(5, 18, 3, seed=9)
+        design = synth(nl)
+        with pytest.raises(ValueError):
+            batch_evaluate(design, nl.inputs, np.zeros(len(nl.inputs), dtype=bool))
+        read = {lit.var for _l, _r, _c, lit in design.cells3d() if lit.var}
+        names = [name for name in nl.inputs if name != sorted(read)[0]]
+        with pytest.raises(KeyError):
+            batch_evaluate(design, names, np.zeros((3, len(names)), dtype=bool))
+        with pytest.raises(KeyError):
+            bitset_evaluate(design, names)
+
+
 class TestNetlistBatchParity:
     @pytest.mark.parametrize(
         "factory", CIRCUITS + [lambda: random_netlist(6, 30, 4, seed=3)]

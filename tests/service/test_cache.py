@@ -175,7 +175,7 @@ def test_retired_solver_jobs_param_is_ignored_by_the_key():
     from repro.service.cache import CACHE_KEY_SCHEMA
     from repro.service.jobs import execute
 
-    assert CACHE_KEY_SCHEMA == "repro-service-key/6"
+    assert CACHE_KEY_SCHEMA == "repro-service-key/7"
     plain = {"expr": "(a & b) | c"}
     legacy = dict(plain, solver_jobs=4)
     assert request_key("synth", legacy) == request_key("synth", plain)
@@ -189,3 +189,20 @@ def test_synth_key_distinguishes_layer_counts():
     layered = request_key("synth", {"expr": "a & b", "layers": 2})
     assert base == explicit  # layers=1 is the default, not a new key
     assert layered != base
+
+
+def test_expression_name_is_in_the_key():
+    # The name names the design and its output, so two names are two
+    # different answers; omitted or null means "f".
+    from repro.service.jobs import execute
+
+    x = {"expr": "a & b", "name": "x"}
+    y = {"expr": "a & b", "name": "y"}
+    assert request_key("synth", x) != request_key("synth", y)
+    default = request_key("synth", {"expr": "a & b"})
+    assert request_key("synth", {"expr": "a & b", "name": "f"}) == default
+    assert request_key("synth", {"expr": "a & b", "name": None}) == default
+    for params, name in ((x, "x"), (y, "y"), ({"expr": "a & b", "name": None}, "f")):
+        result = execute("synth", params)["result"]
+        assert result["design_name"] == name
+        assert result["validation"]["ok"] is True

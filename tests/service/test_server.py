@@ -105,6 +105,19 @@ def test_cached_response_is_identical_and_flagged(server):
         assert warm["result"] == cold["result"]
 
 
+def test_one_server_answers_each_expression_name(server):
+    with _client(server) as client:
+        answers = [
+            client.call("synth", {"expr": "a & b", "name": name})
+            for name in ("x", "y", "x")
+        ]
+    assert [a["result"]["design_name"] for a in answers] == ["x", "y", "x"]
+    assert [a["cached"] for a in answers] == [False, False, True]
+    assert all(a["result"]["validation"]["ok"] for a in answers)
+    assert '"x"' in answers[0]["result"]["design_json"]
+    assert '"y"' in answers[1]["result"]["design_json"]
+
+
 def test_structured_errors_cross_the_wire(server):
     with _client(server) as client:
         with pytest.raises(ServiceClientError) as excinfo:
