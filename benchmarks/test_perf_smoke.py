@@ -15,6 +15,8 @@ the committed ``BENCH_compact.json`` baseline.
   over the walk oracle;
 * the labeling's stitch lower bound never exceeds the exact aligned OCT
   on any fast-tier circuit;
+* the in-process vertex cover search is at least 5x faster than the NT
+  kernel + MILP path on the hub-pinned products of small expressions;
 * the perf harness payload and the committed baseline validate against
   the schema;
 * the committed baseline is self-consistent (its layer sweep's K=1
@@ -247,18 +249,20 @@ def test_sift_matches_walk_oracle(name, start, max_growth):
     assert (got["swaps"], got["final_size"]) == (want["swaps"], want["final_size"])
 
 
+def best_of_three(run) -> float:
+    """The shortest wall time of three calls of ``run``."""
+    times = []
+    for _ in range(3):
+        t0 = time.monotonic()
+        run()
+        times.append(time.monotonic() - t0)
+    return min(times)
+
+
 def test_sift_speedup_over_walk_oracle(save_result):
     """>=3x over walking the live set after every swap."""
     netlist = circuit(LARGEST)
     start = static_order(netlist)
-
-    def best_of_three(run):
-        times = []
-        for _ in range(3):
-            t0 = time.monotonic()
-            run()
-            times.append(time.monotonic() - t0)
-        return min(times)
 
     t_walk = best_of_three(lambda: sift_order_walk(netlist, start))
     t_refs = best_of_three(lambda: sift_order(netlist, start=start, max_rounds=1))
@@ -287,6 +291,74 @@ def test_stitch_bound_never_exceeds_the_aligned_oct(name):
     exact = aligned_odd_cycle_transversal(bg.graph, bg.port_nodes())
     assert exact.optimal
     assert stitch_lower_bound(labeling) <= len(exact.oct_set)
+
+
+#: Small AND/OR expressions with odd cycles: their hub-pinned products
+#: (14-40 vertices) are the instances the vertex cover search takes.
+VC_SEARCH_EXPRESSIONS = (
+    "~(g | ((a | (h & c)) & ((d & (f | b)) & e)))",
+    "(a & (((d & (e & f)) | ~(b & d)) & c))",
+    "((a & (f | e)) & ~((g & (d | c)) & b))",
+    "~((~(a & c) & (f & e)) & (b & (h | (g & d))))",
+    "(((e & (c | ~(a | b))) & f) | ~(d & e))",
+    "(((~(d | (e & b)) & h) | (~(h & g) | a)) | (c & f))",
+    "((d | a) | ((~(b & (f | e)) & c) & (b | e)))",
+    "~((e | (((f & a) | c) | e)) | ~(g & ~(~(b & g) & d)))",
+    "(~((a | (d & f)) | g) | (b | ~(c & e)))",
+    "~(((a & h) & (b | e)) | ((c & g) | (f | d)))",
+    "((e | ~(f | g)) | ~(~(((c & d) | e) | b) | a))",
+    "~(~((c & e) & b) | ~(((h | h) | ~(f | g)) | (a | d)))",
+)
+
+
+def _hub_pinned_products(expressions):
+    """The vertex cover instances the aligned OCT hands to
+    ``minimum_vertex_cover`` for each expression."""
+    import repro.graphs.oct as oct_module
+    from repro.bdd import sbdd_from_exprs
+    from repro.core import preprocess
+    from repro.expr import parse
+    from repro.graphs import aligned_odd_cycle_transversal
+
+    captured = []
+    real = oct_module.minimum_vertex_cover
+
+    def spy(graph, **kwargs):
+        captured.append(graph.copy())
+        return real(graph, **kwargs)
+
+    oct_module.minimum_vertex_cover = spy
+    try:
+        for text in expressions:
+            bg = preprocess(sbdd_from_exprs({"f": parse(text)}))
+            aligned_odd_cycle_transversal(bg.graph, bg.port_nodes())
+    finally:
+        oct_module.minimum_vertex_cover = real
+    return captured
+
+
+def test_vc_search_speedup_over_kernel_path(save_result):
+    """>=5x: the search against the kernel + MILP path it replaced for
+    small instances, over the same products, best of 3, same sizes."""
+    from repro.graphs import vertex_cover
+
+    products = _hub_pinned_products(VC_SEARCH_EXPRESSIONS)
+    assert len(products) == len(VC_SEARCH_EXPRESSIONS)
+    assert all(len(p) <= vertex_cover._SEARCH_MAX_VERTICES for p in products)
+    search_sizes = [len(vertex_cover._search_cover(p)[0]) for p in products]
+    kernel_sizes = [len(vertex_cover._kernelized_cover(p).cover) for p in products]
+    assert search_sizes == kernel_sizes
+
+    t_search = best_of_three(lambda: [vertex_cover._search_cover(p) for p in products])
+    t_kernel = best_of_three(lambda: [vertex_cover._kernelized_cover(p) for p in products])
+    speedup = t_kernel / max(t_search, 1e-9)
+    save_result(
+        "perf_smoke_vc_search_speedup",
+        f"{len(products)} products ({min(map(len, products))}-"
+        f"{max(map(len, products))} vertices): kernel+milp={t_kernel:.4f}s "
+        f"search={t_search:.4f}s speedup={speedup:.1f}x",
+    )
+    assert speedup >= 5.0, f"search only {speedup:.1f}x over the kernel path"
 
 
 def test_rebuild_baseline_counts_every_candidate():

@@ -8,7 +8,8 @@ the resistive analog model in :mod:`repro.crossbar.analog`.
 Both tiers are vectorized.  The exhaustive tier evaluates the design
 over the whole ``2**n`` assignment space as packed uint64 truth tables
 (:func:`repro.crossbar.batch.bitset_evaluate`); the Monte-Carlo tier
-stacks the sampled assignments into one boolean matrix and runs the
+draws the sampled assignments straight into one boolean matrix (one
+``getrandbits`` call, the same bits as one draw per input) and runs the
 batch fixpoint once.  When the reference is a bound ``Netlist.evaluate``
 or ``SBDD.evaluate`` — the common case throughout the pipeline — the
 reference side is swept the same way (netlist packed simulation, BDD
@@ -34,7 +35,7 @@ import numpy as np
 
 from .. import bitset
 from ..perf import counters
-from .batch import assignments_to_matrix, batch_evaluate, bitset_evaluate
+from .batch import batch_evaluate, bitset_evaluate
 from .design import CrossbarDesign
 
 __all__ = ["ValidationReport", "validate_design", "validate_under_faults"]
@@ -220,6 +221,22 @@ def _validate_exhaustive_scalar(
     return _report(checked, exhaustive=True)
 
 
+def _sample_matrix(rng: random.Random, samples: int, n: int) -> np.ndarray:
+    """``samples`` seeded assignments of ``n`` inputs as a boolean matrix.
+
+    Entry ``(k, j)`` is the bit ``rng.getrandbits(1)`` would give for
+    input ``j`` of sample ``k`` drawn sample by sample, input by input.
+    That call returns the top bit of one 32-bit Mersenne Twister output,
+    and ``getrandbits(32 * m)`` returns ``m`` such outputs as
+    little-endian words in draw order, so one call draws every bit and
+    leaves ``rng`` in the state the per-input draws would.
+    """
+    words = samples * n
+    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    top_bits = np.frombuffer(raw, dtype="<u4") >> 31
+    return top_bits.astype(bool).reshape(samples, n)
+
+
 def _validate_sampled(
     design: CrossbarDesign,
     faults,
@@ -229,11 +246,7 @@ def _validate_sampled(
     seed: int | random.Random,
 ) -> ValidationReport:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    # Same draws, same order as the scalar generator produced.
-    envs = [
-        {name: bool(rng.getrandbits(1)) for name in names} for _ in range(samples)
-    ]
-    matrix = assignments_to_matrix(envs, names)
+    matrix = _sample_matrix(rng, samples, len(names))
     actual = batch_evaluate(design, names, matrix, faults=faults)
     owner = _batch_owner(reference)
     if owner is not None:
@@ -250,8 +263,9 @@ def _validate_sampled(
             return _report(samples, exhaustive=False)
         k = int(hit[0])
         bad = tuple(out for out in expected if diffs[out][k])
-        return _report(k + 1, False, dict(envs[k]), bad)
-    for k, env in enumerate(envs):
+        return _report(k + 1, False, dict(zip(names, matrix[k].tolist())), bad)
+    for k in range(samples):
+        env = dict(zip(names, matrix[k].tolist()))
         expected = dict(reference(env))
         bad = tuple(
             out

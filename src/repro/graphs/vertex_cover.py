@@ -9,10 +9,15 @@ vertex cover ILP (Section VI-A).  This module provides:
   VC linear relaxation is half-integral, and some optimal cover contains
   every LP-1 vertex and no LP-0 vertex, so branch and bound only needs
   to run on the LP-½ kernel;
-* :func:`minimum_vertex_cover` — exact solve (kernel + ILP) with a
-  choice of MILP backend.  The ½-kernel is split into connected
-  components — vertex cover decomposes exactly over them — and each
-  component becomes its own (much smaller) MILP, solved in order.
+* :func:`minimum_vertex_cover` — exact solve.  An instance with at most
+  :data:`_SEARCH_MAX_VERTICES` vertices is solved in process by a
+  branch and bound on bitmask adjacency (:func:`_search_cover`); a
+  larger one, or a small one whose search opens more than
+  :data:`_SEARCH_NODE_BUDGET` branch nodes, goes to the kernel + ILP
+  path (:func:`_kernelized_cover`) with a choice of MILP backend.
+  There the ½-kernel is split into connected components — vertex
+  cover decomposes exactly over them — and each component becomes its
+  own (much smaller) MILP, solved in order.
 """
 
 from __future__ import annotations
@@ -37,6 +42,17 @@ __all__ = [
 ]
 
 Node = Hashable
+
+#: Largest instance, in vertices, the in-process search takes.  Up to
+#: it the search beat the kernel + MILP path on every instance measured;
+#: above ~100 vertices HiGHS's LP bound wins (DESIGN §5, "Small
+#: instances").
+_SEARCH_MAX_VERTICES = 64
+#: Branch nodes the search may open before the instance goes to the
+#: kernel + MILP path.  A count, not a clock, so which path answers
+#: never depends on machine load; over 9x the most any measured
+#: instance of at most 64 vertices needed (433).
+_SEARCH_NODE_BUDGET = 4096
 
 
 @dataclass
@@ -129,15 +145,47 @@ def minimum_vertex_cover(
 ) -> VertexCoverResult:
     """Exact minimum vertex cover.
 
-    Kernelizes with Nemhauser–Trotter (unless disabled), splits the
-    kernel into connected components — a minimum cover is the union of
-    per-component minimum covers — and solves each component with the
+    An instance with at most :data:`_SEARCH_MAX_VERTICES` vertices is
+    solved by the in-process search, which ignores ``backend`` and
+    ``use_kernelization`` and always proves its answer optimal.  Any
+    other instance — or a small one whose search runs past its node
+    budget — kernelizes with Nemhauser–Trotter (unless disabled), splits
+    the kernel into connected components — a minimum cover is the union
+    of per-component minimum covers — and solves each component with the
     requested MILP backend, warm-started by the greedy 2-approximation.
     With a ``time_limit`` (a budget shared by all component solves) the
     result may be a feasible (non-optimal) cover; ``optimal`` reports
-    which.
+    which.  A spent budget (``time_limit <= 0``) skips the search too:
+    the kernel path then returns the greedy cover of every piece its LP
+    leaves open.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
+    if len(graph) <= _SEARCH_MAX_VERTICES and (time_limit is None or time_limit > 0):
+        t0 = time.perf_counter()
+        cover, nodes = _search_cover(graph)
+        counters.increment("vc_search_nodes", nodes)
+        if cover is not None:
+            counters.increment("vc_search_solves")
+            runtime = time.perf_counter() - t0
+            size = float(len(cover))
+            return VertexCoverResult(
+                cover=cover,
+                optimal=True,
+                lower_bound=size,
+                runtime=runtime,
+                trace=[(runtime, size, size, 0.0)],
+            )
+        counters.increment("vc_search_fallbacks")
+    return _kernelized_cover(graph, backend, deadline, use_kernelization)
+
+
+def _kernelized_cover(
+    graph: UGraph,
+    backend: str = "highs",
+    deadline: float | None = None,
+    use_kernelization: bool = True,
+) -> VertexCoverResult:
+    """The NT kernel + per-component MILP path of :func:`minimum_vertex_cover`."""
     if use_kernelization:
         forced_in, _forced_out, kernel, lp_bound = nt_kernelize(graph)
     else:
@@ -181,6 +229,128 @@ def minimum_vertex_cover(
         runtime=runtime,
         trace=trace,
     )
+
+
+class _SearchBudgetExceeded(Exception):
+    """The search opened more than :data:`_SEARCH_NODE_BUDGET` branch nodes."""
+
+
+def _search_cover(graph: UGraph) -> tuple[set | None, int]:
+    """Exact minimum vertex cover by branch and bound on bitmask adjacency.
+
+    Each branch node first reduces (a degree-0 vertex leaves, the
+    neighbor of a degree-1 vertex joins the cover), prunes when the
+    cover so far plus a maximal matching of what is left cannot beat
+    the incumbent, and otherwise branches on a maximum-degree vertex
+    ``v``: either ``v`` joins the cover, or all of ``N(v)`` does.  The
+    incumbent starts as the greedy cover (:func:`_greedy_mask`).
+    Returns ``(cover, branch_nodes)``, with ``cover`` None when the
+    search ran past :data:`_SEARCH_NODE_BUDGET` nodes.
+    """
+    nodes = list(graph.nodes())
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [0] * len(nodes)
+    for u, v in graph.edges():
+        i, j = index[u], index[v]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    best = _greedy_mask(adj, (1 << len(nodes)) - 1)
+    opened = 0
+
+    def branch(live: int, taken: int) -> None:
+        nonlocal best, opened
+        opened += 1
+        if opened > _SEARCH_NODE_BUDGET:
+            raise _SearchBudgetExceeded
+        live, taken = _reduce(adj, live, taken)
+        size, best_size = taken.bit_count(), best.bit_count()
+        if size >= best_size:
+            return
+        if not live:
+            best = taken
+            return
+        if size + _matching_size(adj, live) >= best_size:
+            return
+        v = _max_degree_vertex(adj, live)
+        bit = 1 << v
+        branch(live & ~bit, taken | bit)
+        nbrs = adj[v] & live
+        branch(live & ~(bit | nbrs), taken | nbrs)
+
+    try:
+        branch((1 << len(nodes)) - 1, 0)
+    except _SearchBudgetExceeded:
+        return None, opened
+    return {nodes[i] for i in _bits(best)}, opened
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reduce(adj: list[int], live: int, taken: int) -> tuple[int, int]:
+    """Apply the degree-0 and degree-1 rules until neither fires.
+
+    Returns ``(live, taken)``: every vertex left in ``live`` has degree
+    at least 2 in the graph ``live`` induces.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for i in _bits(live):
+            bit = 1 << i
+            if not live & bit:
+                continue
+            nbrs = adj[i] & live
+            if not nbrs:
+                live ^= bit
+            elif not nbrs & (nbrs - 1):
+                live &= ~(bit | nbrs)
+                taken |= nbrs
+                changed = True
+    return live, taken
+
+
+def _matching_size(adj: list[int], live: int) -> int:
+    """Size of a greedy maximal matching of the graph ``live`` induces —
+    a lower bound on its vertex cover."""
+    matched = 0
+    free = live
+    while free:
+        low = free & -free
+        free ^= low
+        nbrs = adj[low.bit_length() - 1] & free
+        if nbrs:
+            free ^= nbrs & -nbrs
+            matched += 1
+    return matched
+
+
+def _max_degree_vertex(adj: list[int], live: int) -> int:
+    """The lowest-index vertex of maximum degree in the graph ``live`` induces."""
+    best_v, best_deg = -1, -1
+    for i in _bits(live):
+        deg = (adj[i] & live).bit_count()
+        if deg > best_deg:
+            best_v, best_deg = i, deg
+    return best_v
+
+
+def _greedy_mask(adj: list[int], live: int) -> int:
+    """A cover: reduce, take a maximum-degree vertex, repeat."""
+    taken = 0
+    while True:
+        live, taken = _reduce(adj, live, taken)
+        if not live:
+            return taken
+        v = _max_degree_vertex(adj, live)
+        live &= ~(1 << v)
+        taken |= 1 << v
 
 
 def _solve_piece(

@@ -61,7 +61,9 @@ __all__ = [
 #: thread, so the knob never changed a design).
 #: v7: expression synth keys carry the output ``name`` (it names the
 #: design and its output).
-CACHE_KEY_SCHEMA = "repro-service-key/7"
+#: v8: every expression request's key carries ``name`` (a ``validate``
+#: checks the design against the output of that name).
+CACHE_KEY_SCHEMA = "repro-service-key/8"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 
@@ -85,7 +87,7 @@ def _canonical_circuit(params: dict) -> dict:
     if params.get("expr") is not None:
         from ..expr import parse
 
-        return {"expr": repr(parse(params["expr"]))}
+        return {"expr": repr(parse(params["expr"])), "name": expr_name(params)}
     circuit = params.get("circuit")
     if not isinstance(circuit, dict):
         raise ValueError("request has neither 'expr' nor a 'circuit' object")
@@ -150,8 +152,6 @@ def canonical_request(method: str, params: dict) -> dict:
     material: dict = {"schema": CACHE_KEY_SCHEMA, "request": method}
     if method == "synth":
         material.update(_canonical_circuit(params))
-        if "expr" in material:
-            material["name"] = expr_name(params)
         for name in SYNTH_DEFAULTS:
             value = knob(params, SYNTH_DEFAULTS, name)
             if name == "order" and value is not None:
@@ -376,6 +376,16 @@ class ResultCache:
         lookup counts it once).
         """
         return self._lookup_encoded(key, count_miss=count_miss)
+
+    def peek(self, key: str) -> dict | None:
+        """The memory front's entry for ``key``, or None.
+
+        Reads no disk or remote tier and counts nothing: the engine
+        calls it under its own lock, after a counted lookup missed.
+        """
+        with self._lock:
+            encoded = self._mem.get(key)
+        return None if encoded is None else json.loads(encoded)
 
     def put(self, key: str, result: dict, method: str = "synth") -> None:
         """Store one result payload (must be JSON-serialisable)."""

@@ -458,6 +458,13 @@ class Engine:
                     info["deduped"] = True
                     counters.increment("service_dedup_hits")
                     return twin.future, info
+                # A twin that finished after the lookup above stored its
+                # result before it left ``_inflight`` (both under this
+                # lock), so the memory front has it.
+                hit = self.cache.peek(key) if self.cache is not None else None
+                if hit is not None:
+                    info["cached"] = True
+                    return _resolved({"ok": True, "result": hit}), info
             if len(self._jobs) >= self.queue_size:
                 counters.increment("service_jobs_rejected")
                 return _resolved(_error_payload(

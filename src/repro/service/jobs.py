@@ -48,7 +48,8 @@ def _load_function(params: dict):
 
         expr = parse(params["expr"])
         inputs = sorted(expr.variables())
-        return _expr_reference(expr, "f"), inputs, None, expr
+        name = expr_name(params)
+        return (lambda env: {name: expr.evaluate(env)}), inputs, None, expr
     circuit = params.get("circuit")
     if not isinstance(circuit, dict):
         raise ValueError("request needs either 'expr' or a 'circuit' object")
@@ -63,11 +64,6 @@ def _load_function(params: dict):
         )
     netlist = reader(circuit.get("text", ""), source=circuit.get("source", "<request>"))
     return netlist.evaluate, netlist.inputs, netlist, None
-
-
-def _expr_reference(expr, name: str):
-    """Reference evaluator of one expression whose output is ``name``."""
-    return lambda env: {name: expr.evaluate(env)}
 
 
 def _validation_dict(report) -> dict:
@@ -96,9 +92,7 @@ def _synth(params: dict) -> dict:
     if netlist is not None:
         result = compact.synthesize_netlist(netlist, order=order)
     else:
-        name = expr_name(params)
-        result = compact.synthesize_expr(expr, order=order, name=name)
-        reference = _expr_reference(expr, name)
+        result = compact.synthesize_expr(expr, order=order, name=expr_name(params))
 
     design = result.design
     metrics = measure(design)
@@ -202,7 +196,7 @@ def _validate(params: dict) -> dict:
             "validation_failed",
             f"design and circuit have incompatible inputs (missing {exc})",
         )
-    circuit_name = netlist.name if netlist is not None else "f"
+    circuit_name = netlist.name if netlist is not None else expr_name(params)
     result = {
         "design_name": design.name,
         "circuit_name": circuit_name,
@@ -288,7 +282,7 @@ def _validate_batch(params: dict) -> dict:
         results.append(verdict)
     return _ok({
         "design_name": design.name,
-        "circuit_name": netlist.name if netlist is not None else "f",
+        "circuit_name": netlist.name if netlist is not None else expr_name(params),
         "count": len(results),
         "distinct": len(memo),
         "results": results,

@@ -135,8 +135,8 @@ def knob(params: dict, defaults: dict, name: str):
 
 
 def expr_name(params: dict) -> str:
-    """The output (and design) name of an ``expr`` synth request:
-    omitted or null is ``"f"``."""
+    """The output name of an ``expr`` request (and a synth's design
+    name): omitted or null is ``"f"``."""
     return knob(params, {"name": "f"}, "name")
 
 

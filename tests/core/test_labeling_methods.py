@@ -52,7 +52,12 @@ class TestMethodA:
             else:
                 assert a.semiperimeter >= b.semiperimeter, nl.name
 
-    def test_bnb_backend(self, c17_netlist):
+    def test_bnb_backend(self, c17_netlist, monkeypatch):
+        # c17's product is small enough for the in-process search, which
+        # reads no backend: send it to the kernel + MILP path instead.
+        from repro.graphs import vertex_cover
+
+        monkeypatch.setattr(vertex_cover, "_SEARCH_MAX_VERTICES", 0)
         bg = graph_of(c17_netlist)
         lab = label_min_semiperimeter(bg, backend="bnb")
         lab.validate(bg)

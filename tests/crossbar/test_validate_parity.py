@@ -354,3 +354,105 @@ class TestMissingOutputRegression:
         nl = c17()
         design = synth(nl)
         assert validate_design(design, nl.evaluate, nl.inputs).ok
+
+
+def dict_draw(rng, names, samples):
+    """The per-input draw the sampled tier used to make: one dict per
+    sample, one ``getrandbits(1)`` per input."""
+    return [{name: bool(rng.getrandbits(1)) for name in names} for _ in range(samples)]
+
+
+def dict_draw_validate(design, reference, names, faults, samples, rng):
+    """The sampled tier on dict draws, one assignment at a time."""
+    for k, env in enumerate(dict_draw(rng, names, samples)):
+        expected = dict(reference(env))
+        if faults:
+            actual = evaluate_with_faults(design, env, faults)
+        else:
+            actual = design.evaluate(env)
+        bad = tuple(
+            out for out in expected
+            if out not in actual or bool(expected[out]) != bool(actual[out])
+        )
+        if bad:
+            return ValidationReport(False, k + 1, False, dict(env), bad)
+    return ValidationReport(True, samples, False)
+
+
+SAMPLE_COUNTS = [1, 63, 64, 65, 2000]
+
+
+class TestSampledDraw:
+    """The sampled tier draws every bit with one ``getrandbits`` call:
+    the same matrix, report and generator state as one dict per sample."""
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_matrix_and_rng_state_match_dict_draw(self, samples, n):
+        from repro.crossbar import assignments_to_matrix
+        from repro.crossbar.validate import _sample_matrix
+
+        names = [f"x{j}" for j in range(n)]
+        ours, theirs = random.Random(41), random.Random(41)
+        matrix = _sample_matrix(ours, samples, n)
+        want = assignments_to_matrix(dict_draw(theirs, names, samples), names)
+        assert matrix.shape == (samples, n)
+        assert np.array_equal(matrix, want)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("passed_rng", [False, True])
+    @pytest.mark.parametrize("opaque", [False, True])
+    def test_fault_free_report_matches_dict_draw(self, samples, passed_rng, opaque):
+        nl = c17()
+        design = synth(nl)
+        # A reference that disagrees with the design on one input pattern
+        # (a counterexample), or the design's own netlist (a pass).
+        flipped = lambda env: {  # noqa: E731
+            out: (not v) if env["G1"] and env["G2"] and not env["G3"] else v
+            for out, v in nl.evaluate(env).items()
+        }
+        for reference in (nl.evaluate, flipped):
+            if opaque and reference is nl.evaluate:
+                reference = lambda env: nl.evaluate(env)  # noqa: E731
+            seed = random.Random(3) if passed_rng else 3
+            ours = validate_design(
+                design, reference, nl.inputs,
+                exhaustive_limit=0, samples=samples, seed=seed,
+            )
+            rng = random.Random(3)
+            want = dict_draw_validate(design, reference, nl.inputs, None, samples, rng)
+            assert ours == want
+            if passed_rng:
+                assert seed.getstate() == rng.getstate()
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("passed_rng", [False, True])
+    def test_faulted_report_matches_dict_draw(self, samples, passed_rng):
+        nl = decoder(3)
+        design = synth(nl)
+        from repro.crossbar import OFF
+
+        # A stuck-off fault on an unprogrammed cell changes nothing (a
+        # pass); these random faults break the decoder (a counterexample).
+        r, c = next(
+            (r, c) for r in range(design.num_rows) for c in range(design.num_cols)
+            if design.cell(r, c) == OFF
+        )
+        fault_maps = [[Fault(r, c, STUCK_OFF)]]
+        fault_rng = random.Random(0)
+        fault_maps += [random_faults(design, fault_rng, 1) for _ in range(3)]
+        verdicts = set()
+        for faults in fault_maps:
+            seed = random.Random(8) if passed_rng else 8
+            ours = validate_under_faults(
+                design, nl.evaluate, nl.inputs, faults,
+                exhaustive_limit=0, samples=samples, seed=seed,
+            )
+            rng = random.Random(8)
+            want = dict_draw_validate(design, nl.evaluate, nl.inputs, faults, samples, rng)
+            assert ours == want, faults
+            if passed_rng:
+                assert seed.getstate() == rng.getstate()
+            verdicts.add(ours.ok)
+        assert verdicts == {True, False}

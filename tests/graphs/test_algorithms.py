@@ -20,6 +20,8 @@ from repro.graphs import (
     two_color,
     verify_oct,
 )
+from repro.graphs import vertex_cover
+from repro.graphs.vertex_cover import _kernelized_cover
 
 
 def cycle(n):
@@ -47,6 +49,13 @@ def random_graph(n, p, seed):
             if rng.random() < p:
                 g.add_edge(i, j)
     return g
+
+
+@pytest.fixture
+def kernel_path(monkeypatch):
+    """Send every instance to the NT kernel + MILP path: below the
+    search gate ``minimum_vertex_cover`` would never reach it."""
+    monkeypatch.setattr(vertex_cover, "_SEARCH_MAX_VERTICES", 0)
 
 
 def to_nx(g):
@@ -189,7 +198,7 @@ class TestVertexCover:
     @pytest.mark.parametrize("seed", range(5))
     def test_optimal_vs_brute_force(self, backend, seed):
         g = random_graph(9, 0.35, seed)
-        result = minimum_vertex_cover(g, backend=backend)
+        result = _kernelized_cover(g, backend=backend)
         assert result.optimal
         assert len(result.cover) == brute_vertex_cover(g)
         assert all(u in result.cover or v in result.cover for u, v in g.edges())
@@ -199,8 +208,8 @@ class TestVertexCover:
             g = random_graph(10, 0.3, seed + 100)
             forced_in, forced_out, kernel, lp = nt_kernelize(g)
             # NT: forced_in + optimal kernel cover is globally optimal.
-            with_kernel = minimum_vertex_cover(g, use_kernelization=True)
-            without = minimum_vertex_cover(g, use_kernelization=False)
+            with_kernel = _kernelized_cover(g, use_kernelization=True)
+            without = _kernelized_cover(g, use_kernelization=False)
             assert len(with_kernel.cover) == len(without.cover)
             assert lp <= len(without.cover) + 1e-9
             assert forced_in.isdisjoint(forced_out)
@@ -239,7 +248,7 @@ class TestVertexCover:
         # Regression: with kernelization disabled the result carried a
         # hardcoded lower_bound of 0.0 even when the MILP proved
         # optimality.
-        res = minimum_vertex_cover(cycle(3), use_kernelization=False)
+        res = _kernelized_cover(cycle(3), use_kernelization=False)
         assert res.optimal
         assert len(res.cover) == 2
         assert res.lower_bound == pytest.approx(2.0)
@@ -247,17 +256,22 @@ class TestVertexCover:
     def test_no_kernelization_bound_on_random_graphs(self):
         for seed in range(4):
             g = random_graph(9, 0.3, seed + 300)
-            res = minimum_vertex_cover(g, use_kernelization=False)
+            res = _kernelized_cover(g, use_kernelization=False)
             assert res.optimal
             assert res.lower_bound == pytest.approx(len(res.cover))
 
     def test_kernel_component_split_is_sound(self):
         # Two disjoint odd cycles: the 1/2-kernel splits into two
         # components solved as independent MILPs.
+        from repro.perf import counters
+
         g = cycle(5)
         for i in range(5):
             g.add_edge(100 + i, 100 + (i + 1) % 5)
-        res = minimum_vertex_cover(g)
+        milps, splits = counters.get("vc_kernel_milps"), counters.get("vc_kernel_splits")
+        res = _kernelized_cover(g)
+        assert counters.get("vc_kernel_milps") - milps == 2
+        assert counters.get("vc_kernel_splits") - splits == 1
         assert res.optimal
         assert len(res.cover) == 6
         assert res.lower_bound == pytest.approx(6.0)
@@ -291,7 +305,7 @@ class TestOct:
 
     @pytest.mark.parametrize("backend", ["highs", "bnb"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_optimal_vs_brute_force(self, backend, seed):
+    def test_optimal_vs_brute_force(self, backend, seed, kernel_path):
         g = random_graph(8, 0.35, seed)
         r = odd_cycle_transversal(g, backend=backend)
         assert r.optimal

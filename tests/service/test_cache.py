@@ -175,7 +175,7 @@ def test_retired_solver_jobs_param_is_ignored_by_the_key():
     from repro.service.cache import CACHE_KEY_SCHEMA
     from repro.service.jobs import execute
 
-    assert CACHE_KEY_SCHEMA == "repro-service-key/7"
+    assert CACHE_KEY_SCHEMA == "repro-service-key/8"
     plain = {"expr": "(a & b) | c"}
     legacy = dict(plain, solver_jobs=4)
     assert request_key("synth", legacy) == request_key("synth", plain)
@@ -206,3 +206,20 @@ def test_expression_name_is_in_the_key():
         result = execute("synth", params)["result"]
         assert result["design_name"] == name
         assert result["validation"]["ok"] is True
+
+
+def test_expression_name_is_in_every_expression_key():
+    # validate and validate_batch check the design against the output
+    # the name names, so the name is part of what they answer.
+    from repro.core import Compact
+    from repro.crossbar import design_to_json
+    from repro.expr import parse
+
+    design_json = design_to_json(Compact().synthesize_expr(parse("a & b")).design)
+    design = {"expr": "a & b", "design_json": design_json}
+    fault_maps = [{"format": "repro.faults/1", "rows": 1, "cols": 1, "faults": []}]
+    for method, extra in (("validate", {}), ("validate_batch", {"fault_maps": fault_maps})):
+        plain = dict(design, **extra)
+        named = dict(plain, name="x")
+        assert request_key(method, named) != request_key(method, plain)
+        assert request_key(method, dict(plain, name="f")) == request_key(method, plain)

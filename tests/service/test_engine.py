@@ -75,6 +75,25 @@ def test_identical_concurrent_requests_collapse_to_one_synthesis():
         engine.shutdown(drain_timeout=5.0)
 
 
+def test_twin_finishing_after_the_cache_lookup_is_not_recomputed():
+    # The admission path looks the cache up outside the engine lock; a
+    # twin that completes in between has left ``_inflight`` by the time
+    # the lock is taken.  Its stored result must answer the request.
+    counters.reset()
+    with Engine(jobs=1, queue_size=8, cache=ResultCache(capacity=8)) as engine:
+        first = engine.submit("synth", {"expr": "a | (b & c)"})[0].result(timeout=60)
+        real_get = engine.cache.get
+        engine.cache.get = lambda key: None  # the lookup that lost the race
+        try:
+            again, info = engine.submit("synth", {"expr": "a | (b & c)"})
+        finally:
+            engine.cache.get = real_get
+        assert info == {"cached": True, "deduped": False}
+        assert again.result(timeout=5) == first
+        assert counters.get("service_jobs_completed") == 1
+        engine.shutdown(drain_timeout=5.0)
+
+
 def test_full_queue_rejects_with_overloaded():
     counters.reset()
     with Engine(jobs=1, queue_size=1) as engine:

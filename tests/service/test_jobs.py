@@ -118,6 +118,26 @@ def test_validate_mismatched_inputs_is_validation_failed(c17_netlist):
     assert payload["error"]["code"] == "validation_failed"
 
 
+def test_validate_checks_the_named_expression_output():
+    # A design synthesized under a name computes the output of that
+    # name, so validating it against the same named expression passes.
+    params = {"expr": "a & b", "name": "x"}
+    design_json = jobs.execute("synth", params)["result"]["design_json"]
+    payload = jobs.execute("validate", dict(params, design_json=design_json))
+    assert payload["ok"] is True
+    result = payload["result"]
+    assert result["circuit_name"] == "x"
+    assert result["validation"]["ok"] is True
+    assert result["validation"]["mismatched_outputs"] == []
+    assert all(d["code"] != "V001" for d in result["diagnostics"])
+    fault_map = json.dumps({"format": "repro.faults/1", "rows": 1, "cols": 1, "faults": []})
+    batch = jobs.execute(
+        "validate_batch", dict(params, design_json=design_json, fault_maps=[fault_map])
+    )["result"]
+    assert batch["circuit_name"] == "x"
+    assert [r["ok"] for r in batch["results"]] == [True]
+
+
 def test_sleep_bounds_are_enforced():
     assert jobs.execute("sleep", {"seconds": 0.0})["ok"] is True
     assert jobs.execute("sleep", {"seconds": -1})["error"]["code"] == "bad_request"
