@@ -16,7 +16,9 @@ the committed ``BENCH_compact.json`` baseline.
 * the labeling's stitch lower bound never exceeds the exact aligned OCT
   on any fast-tier circuit;
 * the in-process vertex cover search is at least 5x faster than the NT
-  kernel + MILP path on the hub-pinned products of small expressions;
+  kernel + MILP path on the hub-pinned products of small expressions,
+  and its two-copy form at least 5x faster than the Eq. 4 MILP on those
+  expressions' graphs;
 * the perf harness payload and the committed baseline validate against
   the schema;
 * the committed baseline is self-consistent (its layer sweep's K=1
@@ -359,6 +361,34 @@ def test_vc_search_speedup_over_kernel_path(save_result):
         f"search={t_search:.4f}s speedup={speedup:.1f}x",
     )
     assert speedup >= 5.0, f"search only {speedup:.1f}x over the kernel path"
+
+
+def test_vh_search_speedup_over_milp(save_result):
+    """>=5x: the in-process Eq. 4 search against the MILP it replaced
+    for graphs of at most 32 nodes, on the BDD graphs of the same 12
+    expressions at gamma=0.5, best of 3, same objectives."""
+    from repro.bdd import sbdd_from_exprs
+    from repro.core import preprocess
+    from repro.core.weighted import _label_weighted_milp, _label_weighted_search
+    from repro.expr import parse
+
+    graphs = [preprocess(sbdd_from_exprs({"f": parse(t)})) for t in VC_SEARCH_EXPRESSIONS]
+    assert all(len(bg.graph) <= 32 for bg in graphs)
+    search = [_label_weighted_search(bg, 0.5, True) for bg in graphs]
+    milp = [_label_weighted_milp(bg, 0.5) for bg in graphs]
+    assert all(lab.meta["optimal"] for lab in milp)
+    assert [lab.objective(0.5) for lab in search] == [lab.objective(0.5) for lab in milp]
+
+    t_search = best_of_three(lambda: [_label_weighted_search(bg, 0.5, True) for bg in graphs])
+    t_milp = best_of_three(lambda: [_label_weighted_milp(bg, 0.5) for bg in graphs])
+    speedup = t_milp / max(t_search, 1e-9)
+    sizes = [len(bg.graph) for bg in graphs]
+    save_result(
+        "perf_smoke_vh_search_speedup",
+        f"{len(graphs)} graphs ({min(sizes)}-{max(sizes)} nodes): milp={t_milp:.4f}s "
+        f"search={t_search:.4f}s speedup={speedup:.1f}x",
+    )
+    assert speedup >= 5.0, f"search only {speedup:.1f}x over the Eq. 4 MILP"
 
 
 def test_rebuild_baseline_counts_every_candidate():

@@ -368,9 +368,9 @@ def fig10_convergence(
 ) -> tuple[Table, list[tuple[float, float | None, float, float | None]]]:
     """Branch-and-bound convergence on one instance (Figure 10).
 
-    Runs the pure-Python B&B (the CPLEX stand-in) warm-started by the
-    Method-A labeling and returns its (time, best integer, best bound,
-    relative gap) trace.  The default instance is sized so the gap
+    Runs the pure-Python B&B (the CPLEX stand-in) on the Eq. 4 MIP and
+    returns its (time, best integer, best bound, relative gap) trace.
+    The default instance is sized so the gap
     actually closes within the budget, mirroring the paper's i2c run
     (which CPLEX closes in ~1000 s); pass a larger circuit to watch a
     truncated trace instead.
@@ -379,11 +379,13 @@ def fig10_convergence(
     netlist = entries[circuit].build()
     bdd_graph = preprocess(build_sbdd(netlist))
 
-    from ..core import label_weighted
+    from ..core.weighted import _label_weighted_milp
 
     # No warm start: the figure's story is the solver discovering
-    # incumbents (best integer jumps down) while the bound climbs.
-    labeling = label_weighted(
+    # incumbents (best integer jumps down) while the bound climbs.  The
+    # MILP is called directly: these graphs are small enough for
+    # label_weighted's in-process search, which has no trace to plot.
+    labeling = _label_weighted_milp(
         bdd_graph,
         gamma=gamma,
         backend="bnb",
@@ -412,7 +414,8 @@ def fig11_gaps(
     """Relative gap after a fixed budget on hard instances (Figure 11)."""
     entries = {b.name: b for b in suite("full")}
 
-    from ..core import label_min_semiperimeter, label_weighted
+    from ..core import label_min_semiperimeter
+    from ..core.weighted import _label_weighted_milp
 
     table = Table(
         f"Figure 11: relative gap at {time_limit:g}s budget (B&B, gamma={gamma:g})",
@@ -423,7 +426,7 @@ def fig11_gaps(
         netlist = entries[name].build()
         bdd_graph = preprocess(build_sbdd(netlist))
         warm = label_min_semiperimeter(bdd_graph, backend="highs")
-        labeling = label_weighted(
+        labeling = _label_weighted_milp(
             bdd_graph, gamma=gamma, backend="bnb",
             time_limit=time_limit, warm_start=warm,
         )

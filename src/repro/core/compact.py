@@ -89,12 +89,21 @@ class Compact:
         (greedy OCT, for scalability), or ``"auto"`` (``oct`` when
         gamma == 1; otherwise ``oct`` first, returned outright when its
         result is provably optimal for every gamma — minimal ``S`` with
-        ``D == ceil(S/2)`` — else ``mip``, warm-started by it).
+        ``D == ceil(S/2)`` — else ``mip``, warm-started by it and
+        returning it when an unproven solve finds nothing better).
     backend:
         MILP backend: ``"highs"`` (fast) or ``"bnb"`` (pure Python,
-        records convergence traces).
+        records convergence traces).  A vertex cover of at most 64
+        vertices and the Eq. 4 labeling of a graph of at most 32 nodes
+        are solved in process and reach neither unless that search runs
+        past its node budget.
     time_limit:
-        Wall-clock budget in seconds for the labeling solve.
+        Wall-clock budget in seconds for each exact labeling solve, not
+        for the flow: the OCT, the Eq. 4 MIP and, at ``layers >= 2``,
+        the plane MILP each get the whole budget, so a labeling can take
+        up to three times it.  A solve the budget cuts short keeps its
+        best labeling (``auto`` never returns one worse than its OCT
+        labeling) and reports ``optimal: False``.
     jobs:
         Only ``1`` is accepted: the labeling solve runs in one thread.
         The hub-pinned graph of a reduced SBDD has no cut vertex, so it
@@ -290,7 +299,7 @@ class Compact:
             gamma=self.gamma,
             backend=self.backend,
             time_limit=self.time_limit,
-            warm_start=warm if self.backend == "bnb" else None,
+            warm_start=warm,
         )
         if warm is not None and warm.meta.get("optimal"):
             # The weighted optimum need not be stitch-minimal; the warm

@@ -16,11 +16,20 @@ memristor connection as V-H or H-V:
 
 (The paper's Eq. 4 prints ``R = sum x^V``; consistent with Eq. 3 and the
 text, rows are wordlines, so we read ``R = sum x^H``.)
+
+Without the helper binaries, a labeling is a vertex cover of ``G □ K2``
+under ``(v, 0) -> x_v^V`` and ``(v, 1) -> x_v^H``, so a graph small
+enough for the in-process vertex cover search skips the MIP.
 """
 
 from __future__ import annotations
 
+import time
+
+from ..graphs import cartesian_product_k2, vertex_cover
 from ..milp import Model, SolveStatus, sum_expr
+from ..milp.model import relative_gap
+from ..perf import counters
 from .labeling import Label, VHLabeling
 from .preprocess import BddGraph
 
@@ -73,8 +82,83 @@ def label_weighted(
 ) -> VHLabeling:
     """Solve the VH-labeling problem for ``gamma*S + (1-gamma)*D``.
 
-    ``warm_start`` (typically a Method-A labeling) seeds the B&B backend
-    with a feasible incumbent; ignored by the HiGHS backend.
+    A graph of at most 32 nodes (a ``G □ K2`` within the vertex cover
+    search's gate) is solved exactly in process, as a minimum-cost
+    vertex cover of the product (:func:`_label_weighted_search`), which
+    ignores ``backend`` and ``warm_start``.  A larger graph, one whose
+    search runs past its node budget, and a spent budget
+    (``time_limit <= 0``) go to the Eq. 4 MIP (:func:`_label_weighted_milp`).
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+    if 2 * len(bdd_graph.graph) <= vertex_cover._SEARCH_MAX_VERTICES and (
+        time_limit is None or time_limit > 0
+    ):
+        labeling = _label_weighted_search(bdd_graph, gamma, alignment)
+        if labeling is not None:
+            return labeling
+        counters.increment("vh_search_fallbacks")
+    return _label_weighted_milp(
+        bdd_graph, gamma, alignment, backend, time_limit, warm_start
+    )
+
+
+def _label_weighted_search(
+    bdd_graph: BddGraph, gamma: float, alignment: bool
+) -> VHLabeling | None:
+    """Eq. 4 as a minimum-cost vertex cover of ``G □ K2``.
+
+    ``(v, 0)`` in the cover is ``x_v^V`` and ``(v, 1)`` is ``x_v^H``:
+    the twin edge is the occupy row, a copy-0 edge forbids two pure-H
+    ends and a copy-1 edge two pure-V ends, which is what the
+    edge-orientation binaries say.  Alignment puts every port's
+    ``(p, 1)`` in the cover.  Ties go to the smaller S (fewer VH
+    stitches).  Returns None when the search ran past its node budget.
+    """
+    t0 = time.perf_counter()
+    graph = bdd_graph.graph
+    product = cartesian_product_k2(graph)
+    forced = {(p, 1) for p in bdd_graph.port_nodes()} if alignment else ()
+    cover, opened = vertex_cover._search_cover(
+        product, gamma=gamma, rows={(v, 1) for v in graph.nodes()}, forced=forced
+    )
+    counters.increment("vh_search_nodes", opened)
+    if cover is None:
+        return None
+    counters.increment("vh_search_solves")
+    labeling = VHLabeling(
+        {v: _label((v, 0) in cover, (v, 1) in cover) for v in graph.nodes()}
+    )
+    objective = labeling.objective(gamma)
+    runtime = time.perf_counter() - t0
+    labeling.meta = {
+        "method": "mip",
+        "gamma": gamma,
+        "optimal": True,
+        "objective": objective,
+        "bound": objective,
+        "gap": 0.0,
+        "runtime": runtime,
+        "nodes_explored": opened,
+        "trace": [(runtime, objective, objective, 0.0)],
+    }
+    return labeling
+
+
+def _label_weighted_milp(
+    bdd_graph: BddGraph,
+    gamma: float = 0.5,
+    alignment: bool = True,
+    backend: str = "highs",
+    time_limit: float | None = None,
+    warm_start: VHLabeling | None = None,
+) -> VHLabeling:
+    """Solve the Eq. 4 MIP with the requested backend.
+
+    ``warm_start`` (typically a Method-A labeling) seeds the B&B
+    backend with a feasible incumbent.  With any backend, a solve that
+    does not prove its answer optimal returns ``warm_start`` instead
+    when it finds nothing better (``meta['fallback']``).
     """
     model, node_vars, _ = build_vh_model(bdd_graph, gamma, alignment)
 
@@ -87,42 +171,49 @@ def label_weighted(
         time_limit=time_limit,
         initial_solution=initial,
     )
-    if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
-        if warm_start is not None:
-            out = VHLabeling(dict(warm_start.labels), meta=dict(warm_start.meta))
-            out.meta.update({"method": "mip", "optimal": False, "fallback": "warm_start"})
-            return out
+    meta = {
+        "method": "mip",
+        "gamma": gamma,
+        "optimal": sol.is_optimal,
+        "objective": sol.objective,
+        "bound": sol.bound,
+        "gap": sol.gap,
+        "runtime": sol.runtime,
+        "nodes_explored": sol.nodes_explored,
+        "trace": sol.trace,
+    }
+    solved = sol.status not in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION)
+    if warm_start is not None and not sol.is_optimal and (
+        not solved or warm_start.objective(gamma) < sol.objective - 1e-9
+    ):
+        objective = warm_start.objective(gamma)
+        out = VHLabeling(dict(warm_start.labels), meta=dict(warm_start.meta))
+        out.meta.update(meta)
+        out.meta.update({
+            "objective": objective,
+            "gap": None if sol.bound is None else relative_gap(objective, sol.bound),
+            "fallback": "warm_start",
+        })
+        return out
+    if not solved:
         raise RuntimeError(
             f"VH MIP terminated without a solution ({sol.status}); the "
             "all-VH labeling is always feasible, so this indicates the "
             "time limit preempted the root relaxation"
         )
 
-    labels: dict[int, Label] = {}
-    for i, (xv, xh) in node_vars.items():
-        has_v = sol.int_value(xv) == 1
-        has_h = sol.int_value(xh) == 1
-        if has_v and has_h:
-            labels[i] = Label.VH
-        elif has_v:
-            labels[i] = Label.V
-        else:
-            labels[i] = Label.H
+    labels = {
+        i: _label(sol.int_value(xv) == 1, sol.int_value(xh) == 1)
+        for i, (xv, xh) in node_vars.items()
+    }
+    return VHLabeling(labels, meta=meta)
 
-    return VHLabeling(
-        labels,
-        meta={
-            "method": "mip",
-            "gamma": gamma,
-            "optimal": sol.is_optimal,
-            "objective": sol.objective,
-            "bound": sol.bound,
-            "gap": sol.gap,
-            "runtime": sol.runtime,
-            "nodes_explored": sol.nodes_explored,
-            "trace": sol.trace,
-        },
-    )
+
+def _label(has_v: bool, has_h: bool) -> Label:
+    """The label of a node with a bitline and/or a wordline."""
+    if has_v and has_h:
+        return Label.VH
+    return Label.V if has_v else Label.H
 
 
 def _warm_values(

@@ -18,12 +18,16 @@ vertex cover ILP (Section VI-A).  This module provides:
   There the ½-kernel is split into connected components — vertex
   cover decomposes exactly over them — and each component becomes its
   own (much smaller) MILP, solved in order.
+
+The search also takes a two-sided cost over the two copies of
+``G □ K2``, which is how :func:`repro.core.weighted.label_weighted`
+solves small instances of the paper's Eq. 4.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Hashable
+from collections.abc import Collection, Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +57,8 @@ _SEARCH_MAX_VERTICES = 64
 #: never depends on machine load; over 9x the most any measured
 #: instance of at most 64 vertices needed (433).
 _SEARCH_NODE_BUDGET = 4096
+#: Two search costs closer than this are a tie (float weights).
+_COST_TOL = 1e-9
 
 
 @dataclass
@@ -235,12 +241,25 @@ class _SearchBudgetExceeded(Exception):
     """The search opened more than :data:`_SEARCH_NODE_BUDGET` branch nodes."""
 
 
-def _search_cover(graph: UGraph) -> tuple[set | None, int]:
-    """Exact minimum vertex cover by branch and bound on bitmask adjacency.
+def _search_cover(
+    graph: UGraph,
+    gamma: float = 1.0,
+    rows: Collection = (),
+    forced: Collection = (),
+) -> tuple[set | None, int]:
+    """Exact minimum-cost vertex cover by branch and bound on bitmask adjacency.
+
+    The cost of a cover with ``R`` vertices in ``rows`` and ``C``
+    outside it is ``gamma*(C+R) + (1-gamma)*max(C, R)``; ties go to the
+    smaller cover.  With no ``rows`` every cover costs its size, which
+    is the plain minimum vertex cover; with ``rows`` one copy of
+    ``G □ K2`` it is the paper's Eq. 4 objective (see
+    :func:`repro.core.weighted.label_weighted`).  Every vertex of
+    ``forced`` is in the cover.
 
     Each branch node first reduces (a degree-0 vertex leaves, the
-    neighbor of a degree-1 vertex joins the cover), prunes when the
-    cover so far plus a maximal matching of what is left cannot beat
+    neighbor of a degree-1 vertex on its side joins the cover), prunes
+    when the cover so far plus matchings of what is left cannot beat
     the incumbent, and otherwise branches on a maximum-degree vertex
     ``v``: either ``v`` joins the cover, or all of ``N(v)`` does.  The
     incumbent starts as the greedy cover (:func:`_greedy_mask`).
@@ -254,23 +273,46 @@ def _search_cover(graph: UGraph) -> tuple[set | None, int]:
         i, j = index[u], index[v]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
+    full = (1 << len(nodes)) - 1
+    high = sum(1 << index[v] for v in rows)
+    low = full & ~high
 
-    best = _greedy_mask(adj, (1 << len(nodes)) - 1)
+    def cost(taken: int) -> tuple[float, int]:
+        c, r = (taken & low).bit_count(), (taken & high).bit_count()
+        return gamma * (c + r) + (1.0 - gamma) * max(c, r), c + r
+
+    def beats(objective: float, size: int) -> bool:
+        return objective < best_cost - _COST_TOL or (
+            objective <= best_cost + _COST_TOL and size < best_size
+        )
+
+    start_taken = sum(1 << index[v] for v in forced)
+    start_live = full & ~start_taken
+    best = _greedy_mask(adj, start_live) | start_taken
+    best_cost, best_size = cost(best)
     opened = 0
 
     def branch(live: int, taken: int) -> None:
-        nonlocal best, opened
+        nonlocal best, best_cost, best_size, opened
         opened += 1
         if opened > _SEARCH_NODE_BUDGET:
             raise _SearchBudgetExceeded
-        live, taken = _reduce(adj, live, taken)
-        size, best_size = taken.bit_count(), best.bit_count()
-        if size >= best_size:
+        live, taken = _reduce(adj, live, taken, high)
+        objective, size = cost(taken)
+        if not beats(objective, size):
             return
         if not live:
-            best = taken
+            best, best_cost, best_size = taken, objective, size
             return
-        if size + _matching_size(adj, live) >= best_size:
+        # Lower bounds: a_c and a_r on each side's count, s on their sum.
+        s = size + _matching_size(adj, live)
+        if high:
+            a_c = (taken & low).bit_count() + _matching_size(adj, live & low)
+            a_r = (taken & high).bit_count() + _matching_size(adj, live & high)
+            s = max(s, a_c + a_r)
+        else:
+            a_c, a_r = s, 0
+        if not beats(gamma * s + (1.0 - gamma) * max(a_c, a_r, (s + 1) // 2), s):
             return
         v = _max_degree_vertex(adj, live)
         bit = 1 << v
@@ -279,7 +321,7 @@ def _search_cover(graph: UGraph) -> tuple[set | None, int]:
         branch(live & ~(bit | nbrs), taken | nbrs)
 
     try:
-        branch((1 << len(nodes)) - 1, 0)
+        branch(start_live, start_taken)
     except _SearchBudgetExceeded:
         return None, opened
     return {nodes[i] for i in _bits(best)}, opened
@@ -293,11 +335,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reduce(adj: list[int], live: int, taken: int) -> tuple[int, int]:
+def _reduce(adj: list[int], live: int, taken: int, high: int = 0) -> tuple[int, int]:
     """Apply the degree-0 and degree-1 rules until neither fires.
 
-    Returns ``(live, taken)``: every vertex left in ``live`` has degree
-    at least 2 in the graph ``live`` induces.
+    The degree-1 rule takes a leaf's neighbor only when both lie on the
+    same side of ``high`` (both in it or both outside): swapping a leaf
+    for a neighbor on the other side would move one vertex between the
+    two counts a two-sided cost reads.  Returns ``(live, taken)``.
     """
     changed = True
     while changed:
@@ -309,7 +353,7 @@ def _reduce(adj: list[int], live: int, taken: int) -> tuple[int, int]:
             nbrs = adj[i] & live
             if not nbrs:
                 live ^= bit
-            elif not nbrs & (nbrs - 1):
+            elif not nbrs & (nbrs - 1) and bool(bit & high) == bool(nbrs & high):
                 live &= ~(bit | nbrs)
                 taken |= nbrs
                 changed = True

@@ -40,6 +40,15 @@ def small_random_netlist(request):
     return random_netlist(5, 18, 3, seed=request.param)
 
 
+@pytest.fixture
+def milp_labeling(monkeypatch):
+    """Close the in-process search gate, so small graphs reach the
+    Eq. 4 MILP and the kernel + MILP vertex cover path again."""
+    from repro.graphs import vertex_cover
+
+    monkeypatch.setattr(vertex_cover, "_SEARCH_MAX_VERTICES", 0)
+
+
 def assert_netlists_equivalent(a, b, input_map=None):
     """Exhaustively compare two netlists (same input names by default)."""
     assert set(a.inputs) == set(b.inputs if input_map is None else input_map)

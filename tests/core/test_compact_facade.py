@@ -130,3 +130,112 @@ class TestPaperProperties:
         ) else 0
         assert metrics.semiperimeter == res.labeling.semiperimeter + extra
         assert metrics.area == res.design.num_rows * res.design.num_cols
+
+
+class TestAutoKeepsTheWarmLabeling:
+    """``method="auto"`` hands its OCT labeling to the Eq. 4 solve under
+    every backend, and an unproven solve never returns anything worse.
+
+    The MIP's outcome is forced by patching ``Model.solve`` for the Eq. 4
+    model only; the vertex cover gate is patched to 0 so this small
+    graph reaches the MILP at all.
+    """
+
+    # A 10-node function whose minimum OCT labeling (S=12, D=7) misses
+    # D = ceil(S/2), so the auto flow runs the Eq. 4 solve after it; the
+    # Eq. 4 optimum has S=12, D=6.
+    TEXT = "(((v5 & v1) | v0) | ((v4 & v2) & v3))"
+
+    @pytest.fixture
+    def milp_outcome(self, monkeypatch, milp_labeling):
+        from repro.milp import Model
+
+        real_solve = Model.solve
+        calls = []
+        outcome = {}
+
+        def solve(model, *args, **kwargs):
+            if not model.name.startswith("vh_"):
+                return real_solve(model, *args, **kwargs)
+            calls.append(kwargs.get("backend"))
+            return outcome["make"](model)
+
+        monkeypatch.setattr(Model, "solve", solve)
+        outcome["calls"] = calls
+        return outcome
+
+    def _graph_and_warm(self):
+        from repro.bdd import sbdd_from_exprs
+        from repro.core import label_min_semiperimeter, preprocess
+
+        bg = preprocess(sbdd_from_exprs({"f": parse(self.TEXT)}))
+        warm = label_min_semiperimeter(bg)
+        assert warm.meta["optimal"]
+        assert warm.max_dimension > (warm.semiperimeter + 1) // 2
+        return bg, warm
+
+    def test_cut_off_root_returns_the_warm_labeling(self, milp_outcome):
+        from repro.milp import Solution, SolveStatus
+
+        milp_outcome["make"] = lambda model: Solution(
+            status=SolveStatus.NO_SOLUTION, objective=None
+        )
+        bg, warm = self._graph_and_warm()
+        labeling = Compact(gamma=0.5, time_limit=1.0).label(bg)
+        assert milp_outcome["calls"] == ["highs"]
+        assert labeling.labels == warm.labels
+        assert labeling.meta["optimal"] is False
+        assert labeling.meta["fallback"] == "warm_start"
+        assert labeling.meta["objective"] == warm.objective(0.5)
+        assert labeling.meta["oct_lower_bound"] == warm.meta["oct_size"]
+
+    def _feasible(self, model, labeling, bg):
+        from repro.core.weighted import _warm_values
+        from repro.milp import Solution, SolveStatus
+
+        objective = labeling.objective(0.5)
+        return Solution(
+            status=SolveStatus.FEASIBLE,
+            objective=objective,
+            values=_warm_values(bg, labeling, model),
+            bound=objective - 2.0,
+        )
+
+    def test_worse_unproven_incumbent_loses_to_the_warm_labeling(self, milp_outcome):
+        from repro.core import Label, VHLabeling
+
+        bg, warm = self._graph_and_warm()
+        all_vh = VHLabeling({v: Label.VH for v in bg.graph.nodes()})
+        assert all_vh.objective(0.5) > warm.objective(0.5)
+        milp_outcome["make"] = lambda model: self._feasible(model, all_vh, bg)
+        labeling = Compact(gamma=0.5).label(bg)
+        assert labeling.labels == warm.labels
+        assert labeling.meta["optimal"] is False
+        assert labeling.meta["fallback"] == "warm_start"
+        assert labeling.meta["oct_lower_bound"] == warm.meta["oct_size"]
+
+    def test_better_unproven_incumbent_is_kept(self, milp_outcome):
+        from repro.core.weighted import _label_weighted_search
+
+        bg, warm = self._graph_and_warm()
+        best = _label_weighted_search(bg, 0.5, True)
+        assert best.objective(0.5) < warm.objective(0.5)
+        milp_outcome["make"] = lambda model: self._feasible(model, best, bg)
+        labeling = Compact(gamma=0.5).label(bg)
+        assert labeling.objective(0.5) == best.objective(0.5)
+        assert labeling.meta["optimal"] is False
+        assert "fallback" not in labeling.meta
+        assert labeling.meta["oct_lower_bound"] == warm.meta["oct_size"]
+
+    def test_service_synth_answers_when_the_root_is_cut_off(self, milp_outcome):
+        from repro.milp import Solution, SolveStatus
+        from repro.service.jobs import execute
+
+        milp_outcome["make"] = lambda model: Solution(
+            status=SolveStatus.NO_SOLUTION, objective=None
+        )
+        response = execute("synth", {"expr": self.TEXT, "time_limit": 0.5})
+        assert milp_outcome["calls"] == ["highs"]
+        assert response["ok"], response
+        assert response["result"]["optimal"] is False
+        assert response["result"]["validation"]["ok"]

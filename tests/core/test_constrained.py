@@ -12,6 +12,10 @@ from repro.core import (
 )
 from repro.crossbar import validate_design
 
+# The unconstrained references come from the same Eq. 4 MILP that
+# label_constrained extends.
+pytestmark = pytest.mark.usefixtures("milp_labeling")
+
 
 @pytest.fixture
 def c17_graph(c17_netlist):

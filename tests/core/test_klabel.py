@@ -21,6 +21,10 @@ from repro.expr import parse
 from repro.graphs import aligned_odd_cycle_transversal
 from repro.milp.model import Model, sum_expr
 
+# Stage 1 here is the Eq. 4 MILP labeling these tests were written
+# against, also on graphs small enough for label_weighted's search.
+pytestmark = pytest.mark.usefixtures("milp_labeling")
+
 
 def labeled_graph(exprs=None, netlist=None, gamma=0.5):
     if netlist is not None:

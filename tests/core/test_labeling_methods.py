@@ -65,7 +65,11 @@ class TestMethodA:
         assert lab.semiperimeter == ref.semiperimeter
 
 
+@pytest.mark.usefixtures("milp_labeling")
 class TestMethodB:
+    """The Eq. 4 MILP itself; label_weighted's in-process search for
+    small graphs is tested in test_weighted_search.py."""
+
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_valid_for_all_gammas(self, gamma, c17_netlist):
         bg = graph_of(c17_netlist)
