@@ -22,9 +22,10 @@ the committed ``BENCH_compact.json`` baseline.
 * the perf harness payload and the committed baseline validate against
   the schema;
 * the committed baseline is self-consistent (its layer sweep's K=1
-  column is its headline) and reproducible (re-running small circuits
-  gives the committed S, D and ``optimal``), and stage times stay
-  within 3x of it.
+  column is its headline) and reproducible (re-running every headline
+  row whose labeling took under half the budget gives the committed S,
+  D, ``optimal`` and certified gap), and stage times stay within 3x of
+  it.
 """
 
 from __future__ import annotations
@@ -476,19 +477,37 @@ def test_committed_sweep_k1_column_is_the_headline():
     assert not mismatched, "; ".join(mismatched)
 
 
-def test_small_circuits_reproduce_committed_quality():
-    """Quality gate: re-running c17 and parity16 at the committed budget
-    gives the committed S, D and ``optimal``."""
+def test_headline_rows_reproduce_committed_quality(save_result):
+    """Quality gate: re-running every fast-tier headline row whose
+    committed labeling stage took under half the committed budget gives
+    the committed S, D, ``optimal`` and certified gap.  A row nearer its
+    budget could end its solve elsewhere under load, so it is left out
+    (and named in the saved result)."""
     payload = _committed_baseline()
-    committed = {r["circuit"]: r for r in payload["circuits"]}
-    rerun = run_perf_suite(names=["c17", "parity16"], time_limit=payload["time_limit"])
+    budget = payload["time_limit"]
+    committed = {r["circuit"]: r for r in payload["circuits"] if r["circuit"] in FAST_NAMES}
+    names = sorted(
+        name for name, r in committed.items() if r["stages"]["labeling"] < budget / 2
+    )
+    assert {"c17", "parity16"} <= set(names)
+    rerun = run_perf_suite(names=names, time_limit=budget)
 
     def quality(record):
         crossbar = record["crossbar"]
-        return crossbar["semiperimeter"], crossbar["max_dimension"], record["optimal"]
+        return (
+            crossbar["semiperimeter"],
+            crossbar["max_dimension"],
+            record["optimal"],
+            record["labeling"]["certified_gap"],
+        )
 
     got = {r["circuit"]: quality(r) for r in rerun["circuits"]}
-    want = {name: quality(committed[name]) for name in got}
+    want = {name: quality(committed[name]) for name in names}
+    save_result(
+        "perf_smoke_headline_quality",
+        f"rerun={','.join(names)} "
+        f"skipped={','.join(sorted(set(committed) - set(names))) or '-'}",
+    )
     assert got == want
 
 

@@ -90,7 +90,12 @@ class Compact:
         gamma == 1; otherwise ``oct`` first, returned outright when its
         result is provably optimal for every gamma — minimal ``S`` with
         ``D == ceil(S/2)`` — else ``mip``, warm-started by it and
-        returning it when an unproven solve finds nothing better).
+        returning it when an unproven solve finds nothing better).  On
+        a graph of more than 32 nodes whose proven OCT is not empty,
+        ``mip`` first looks among *all* minimal-``S`` labelings for one
+        with ``D == ceil(S/2)`` and returns it, proven optimal, when
+        there is one (counters ``vh_allgamma_hits`` and
+        ``vh_allgamma_misses``).
     backend:
         MILP backend: ``"highs"`` (fast) or ``"bnb"`` (pure Python,
         records convergence traces).  A vertex cover of at most 64
@@ -98,10 +103,11 @@ class Compact:
         are solved in process and reach neither unless that search runs
         past its node budget.
     time_limit:
-        Wall-clock budget in seconds for each exact labeling solve, not
-        for the flow: the OCT, the Eq. 4 MIP and, at ``layers >= 2``,
-        the plane MILP each get the whole budget, so a labeling can take
-        up to three times it.  A solve the budget cuts short keeps its
+        Wall-clock budget in seconds for each exact labeling stage, not
+        for the flow: the OCT, the Eq. 4 stage (the all-gamma search and
+        the MIP share one deadline) and, at ``layers >= 2``, the plane
+        MILP each get the whole budget, so a labeling can take up to
+        three times it.  A solve the budget cuts short keeps its
         best labeling (``auto`` never returns one worse than its OCT
         labeling) and reports ``optimal: False``.
     jobs:
@@ -288,6 +294,8 @@ class Compact:
             # D == ceil(S/2) therefore minimizes gamma*S + (1-gamma)*D
             # for every gamma, and any optimal weighted solution attains
             # exactly these S and D — the Eq. 4 MIP cannot improve on it.
+            # (label_weighted asks the same of every other S-minimal
+            # labeling before its MIP.)
             if (
                 warm.meta.get("optimal")
                 and not warm.meta.get("promoted_ports")
@@ -301,8 +309,11 @@ class Compact:
             time_limit=self.time_limit,
             warm_start=warm,
         )
-        if warm is not None and warm.meta.get("optimal"):
+        if warm is not None:
             # The weighted optimum need not be stitch-minimal; the warm
-            # solve's proven OCT is the stitch lower bound.
-            labeling.meta["oct_lower_bound"] = warm.meta["oct_size"]
+            # solve's OCT, when proven, else its bound, bounds the stitches.
+            labeling.meta["oct_lower_bound"] = (
+                warm.meta["oct_size"] if warm.meta.get("optimal")
+                else warm.meta["oct_lower_bound"]
+            )
         return labeling

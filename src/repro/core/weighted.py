@@ -19,7 +19,10 @@ text, rows are wordlines, so we read ``R = sum x^H``.)
 
 Without the helper binaries, a labeling is a vertex cover of ``G □ K2``
 under ``(v, 0) -> x_v^V`` and ``(v, 1) -> x_v^H``, so a graph small
-enough for the in-process vertex cover search skips the MIP.
+enough for the in-process vertex cover search skips the MIP.  Larger
+graphs with a proven Method-A warm start first try that cover form
+restricted to ``S = S_min`` (:func:`_label_all_gamma`): a balanced
+S-minimal labeling is optimal for every gamma.
 """
 
 from __future__ import annotations
@@ -88,18 +91,98 @@ def label_weighted(
     ignores ``backend`` and ``warm_start``.  A larger graph, one whose
     search runs past its node budget, and a spent budget
     (``time_limit <= 0``) go to the Eq. 4 MIP (:func:`_label_weighted_milp`).
+    Before it, when ``warm_start`` is an aligned Method-A labeling with
+    a proven, non-empty OCT, :func:`_label_all_gamma` looks for an
+    S-minimal labeling with ``D = ceil(S_min/2)`` and returns it, proven
+    optimal for every gamma; on a miss the MIP gets what is left of
+    ``time_limit``.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    if 2 * len(bdd_graph.graph) <= vertex_cover._SEARCH_MAX_VERTICES and (
-        time_limit is None or time_limit > 0
-    ):
+    has_budget = time_limit is None or time_limit > 0
+    if 2 * len(bdd_graph.graph) <= vertex_cover._SEARCH_MAX_VERTICES and has_budget:
         labeling = _label_weighted_search(bdd_graph, gamma, alignment)
         if labeling is not None:
             return labeling
         counters.increment("vh_search_fallbacks")
+    if (
+        has_budget
+        and alignment
+        and warm_start is not None
+        and warm_start.meta.get("exact_alignment")
+        and warm_start.meta.get("optimal")
+        and not warm_start.meta.get("promoted_ports")
+        # With no VH the S-minimal labelings differ only by component
+        # flips, and Method A's orientation already balanced those.
+        and warm_start.meta.get("oct_size", 0) > 0
+    ):
+        deadline = None if time_limit is None else time.monotonic() + time_limit
+        labeling = _label_all_gamma(
+            bdd_graph, gamma, backend, time_limit, warm_start.semiperimeter
+        )
+        if labeling is not None:
+            counters.increment("vh_allgamma_hits")
+            return labeling
+        counters.increment("vh_allgamma_misses")
+        if deadline is not None:
+            time_limit = max(0.0, deadline - time.monotonic())
     return _label_weighted_milp(
         bdd_graph, gamma, alignment, backend, time_limit, warm_start
+    )
+
+
+def _label_all_gamma(
+    bdd_graph: BddGraph,
+    gamma: float,
+    backend: str,
+    time_limit: float | None,
+    s_min: int,
+) -> VHLabeling | None:
+    """The least-D aligned labeling among those with ``S = s_min``.
+
+    Every labeling has ``S >= S_min`` and ``D >= ceil(S/2)``, so one
+    with ``S = S_min`` and ``D = ceil(S_min/2)`` minimizes
+    ``gamma*S + (1-gamma)*D`` for every gamma.  The model is Eq. 4's
+    cover form (no edge-orientation binaries): ``C + R <= s_min`` and
+    ``D >= C, R``, the occupy row, per edge ``x_u^V + x_v^V >= 1`` (no
+    two pure-H ends) and ``x_u^H + x_v^H >= 1`` (no two pure-V ends),
+    and every port on a wordline, minimizing ``D``.  ``s_min`` must be
+    the proven minimum over aligned labelings, so ``C + R = s_min`` on
+    every integer point (and the model is never infeasible).  Returns
+    the labeling, with the MIP path's meta keys, when its ``D`` is
+    ``ceil(s_min/2)``, else None.
+    """
+    graph = bdd_graph.graph
+    nodes = sorted(graph.nodes())
+    model = Model("all_gamma")
+    xv = {i: model.add_binary(f"v_{i}") for i in nodes}
+    xh = {i: model.add_binary(f"h_{i}") for i in nodes}
+    # No explicit D >= ceil(s_min/2): integrality implies it, and HiGHS
+    # proved the hits about twice as fast without it (DESIGN §5).
+    d_var = model.add_integer("D", 0, len(nodes))
+    rows_expr = sum_expr(xh.values())
+    cols_expr = sum_expr(xv.values())
+    model.add_constraint(rows_expr + cols_expr <= s_min, name="S<=S_min")
+    model.add_constraint(d_var - rows_expr >= 0, name="D>=R")
+    model.add_constraint(d_var - cols_expr >= 0, name="D>=C")
+    for i in nodes:
+        model.add_constraint(xv[i] + xh[i] >= 1, name=f"occupy_{i}")
+    for u, v in graph.edges():
+        model.add_constraint(xv[u] + xv[v] >= 1, name=f"col_{u}_{v}")
+    for u, v in graph.edges():
+        model.add_constraint(xh[u] + xh[v] >= 1, name=f"row_{u}_{v}")
+    for port in bdd_graph.port_nodes():
+        model.add_constraint(xh[port] >= 1, name=f"align_{port}")
+    model.minimize(d_var)
+
+    sol = model.solve(backend=backend, time_limit=time_limit)
+    if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
+        return None
+    if sol.int_value(d_var) > (s_min + 1) // 2:
+        return None
+    return _proven_optimal(
+        {i: _label(sol.int_value(xv[i]) == 1, sol.int_value(xh[i]) == 1) for i in nodes},
+        gamma, sol.runtime, sol.nodes_explored,
     )
 
 
@@ -126,11 +209,19 @@ def _label_weighted_search(
     if cover is None:
         return None
     counters.increment("vh_search_solves")
-    labeling = VHLabeling(
-        {v: _label((v, 0) in cover, (v, 1) in cover) for v in graph.nodes()}
+    return _proven_optimal(
+        {v: _label((v, 0) in cover, (v, 1) in cover) for v in graph.nodes()},
+        gamma, time.perf_counter() - t0, opened,
     )
+
+
+def _proven_optimal(
+    labels: dict[int, Label], gamma: float, runtime: float, nodes_explored: int
+) -> VHLabeling:
+    """A labeling proven optimal for ``gamma``, with the MILP path's meta
+    keys (``bound`` = ``objective``, gap 0, a one-point trace)."""
+    labeling = VHLabeling(labels)
     objective = labeling.objective(gamma)
-    runtime = time.perf_counter() - t0
     labeling.meta = {
         "method": "mip",
         "gamma": gamma,
@@ -139,7 +230,7 @@ def _label_weighted_search(
         "bound": objective,
         "gap": 0.0,
         "runtime": runtime,
-        "nodes_explored": opened,
+        "nodes_explored": nodes_explored,
         "trace": [(runtime, objective, objective, 0.0)],
     }
     return labeling

@@ -141,10 +141,11 @@ class TestAutoKeepsTheWarmLabeling:
     graph reaches the MILP at all.
     """
 
-    # A 10-node function whose minimum OCT labeling (S=12, D=7) misses
-    # D = ceil(S/2), so the auto flow runs the Eq. 4 solve after it; the
-    # Eq. 4 optimum has S=12, D=6.
-    TEXT = "(((v5 & v1) | v0) | ((v4 & v2) & v3))"
+    # An 11-node function whose minimum OCT labeling (S=12, D=8) misses
+    # D = ceil(S/2), and so does every S-minimal labeling (the least D
+    # at S=12 is 7), so the all-gamma step misses and the auto flow runs
+    # the Eq. 4 solve after it; the Eq. 4 optimum has S=12, D=7.
+    TEXT = "((v2 ^ v1) & (v0 | (v4 ^ v3)))"
 
     @pytest.fixture
     def milp_outcome(self, monkeypatch, milp_labeling):
@@ -167,11 +168,13 @@ class TestAutoKeepsTheWarmLabeling:
     def _graph_and_warm(self):
         from repro.bdd import sbdd_from_exprs
         from repro.core import label_min_semiperimeter, preprocess
+        from repro.core.weighted import _label_all_gamma
 
         bg = preprocess(sbdd_from_exprs({"f": parse(self.TEXT)}))
         warm = label_min_semiperimeter(bg)
         assert warm.meta["optimal"]
         assert warm.max_dimension > (warm.semiperimeter + 1) // 2
+        assert _label_all_gamma(bg, 0.5, "highs", None, warm.semiperimeter) is None
         return bg, warm
 
     def test_cut_off_root_returns_the_warm_labeling(self, milp_outcome):
@@ -226,6 +229,27 @@ class TestAutoKeepsTheWarmLabeling:
         assert labeling.meta["optimal"] is False
         assert "fallback" not in labeling.meta
         assert labeling.meta["oct_lower_bound"] == warm.meta["oct_size"]
+
+    def test_unproven_oct_solve_still_bounds_the_stitches(self, monkeypatch):
+        # An OCT solve cut short by its budget hands the weighted
+        # labeling its proven bound, not nothing.
+        from repro.bdd import sbdd_from_exprs
+        from repro.core import VHLabeling, label_min_semiperimeter, preprocess
+        from repro.core import compact as compact_module
+        from repro.core.klabel import stitch_lower_bound
+
+        bg = preprocess(sbdd_from_exprs({"f": parse(self.TEXT)}))
+        warm = label_min_semiperimeter(bg)
+        warm.meta.update(optimal=False, oct_lower_bound=1.0)
+        unproven = VHLabeling(
+            dict(warm.labels), meta={"method": "mip", "gamma": 0.5, "optimal": False}
+        )
+        monkeypatch.setattr(compact_module, "label_min_semiperimeter", lambda *a, **k: warm)
+        monkeypatch.setattr(compact_module, "label_weighted", lambda *a, **k: unproven)
+        labeling = Compact(gamma=0.5, time_limit=1.0).label(bg)
+        assert labeling is unproven
+        assert labeling.meta["oct_lower_bound"] == 1.0
+        assert stitch_lower_bound(labeling) == 1
 
     def test_service_synth_answers_when_the_root_is_cut_off(self, milp_outcome):
         from repro.milp import Solution, SolveStatus
