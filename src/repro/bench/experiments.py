@@ -73,12 +73,11 @@ def run_compact(
     bench: BenchCircuit,
     gamma: float = 0.5,
     method: str = "auto",
-    backend: str = "highs",
     time_limit: float | None = DEFAULT_TIME_LIMIT,
 ) -> CompactRun:
     """Synthesize one suite circuit and record the paper's metrics."""
     netlist = bench.build()
-    compact = Compact(gamma=gamma, method=method, backend=backend, time_limit=time_limit)
+    compact = Compact(gamma=gamma, method=method, time_limit=time_limit)
     result = compact.synthesize_netlist(netlist)
     metrics = measure(result.design)
     return CompactRun(
@@ -425,7 +424,7 @@ def fig11_gaps(
     for name in circuits:
         netlist = entries[name].build()
         bdd_graph = preprocess(build_sbdd(netlist))
-        warm = label_min_semiperimeter(bdd_graph, backend="highs")
+        warm = label_min_semiperimeter(bdd_graph)
         labeling = _label_weighted_milp(
             bdd_graph, gamma=gamma, backend="bnb",
             time_limit=time_limit, warm_start=warm,

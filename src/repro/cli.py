@@ -247,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
     synth.add_argument("--gamma", type=float, default=0.5)
     synth.add_argument("--method", default="auto", choices=["auto", "mip", "oct", "heuristic"])
-    synth.add_argument("--backend", default="highs", choices=["highs", "bnb"])
     synth.add_argument("--time-limit", type=float, default=60.0)
     synth.add_argument("--layers", type=int, default=1, metavar="K",
                        help="memristor layers in the target crossbar (default 1)")
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_synth.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
     c_synth.add_argument("--gamma", type=float, default=0.5)
     c_synth.add_argument("--method", default="auto", choices=["auto", "mip", "oct", "heuristic"])
-    c_synth.add_argument("--backend", default="highs", choices=["highs", "bnb"])
     c_synth.add_argument("--time-limit", type=float, default=60.0)
     c_synth.add_argument("--layers", type=int, default=1, metavar="K",
                          help="memristor layers in the target crossbar (default 1)")
@@ -516,7 +514,6 @@ def _synth_params(args) -> dict:
     params: dict = {
         "gamma": args.gamma,
         "method": args.method,
-        "backend": args.backend,
         "time_limit": args.time_limit,
         "validate": not args.no_validate,
         "layers": args.layers,

@@ -89,19 +89,20 @@ class Compact:
         (greedy OCT, for scalability), or ``"auto"`` (``oct`` when
         gamma == 1; otherwise ``oct`` first, returned outright when its
         result is provably optimal for every gamma — minimal ``S`` with
-        ``D == ceil(S/2)`` — else ``mip``, warm-started by it and
-        returning it when an unproven solve finds nothing better).  On
+        ``D == ceil(S/2)`` — else ``mip``, handed it as ``warm_start``
+        and returning it when an unproven solve finds nothing better).  On
         a graph of more than 32 nodes whose proven OCT is not empty,
         ``mip`` first looks among *all* minimal-``S`` labelings for one
         with ``D == ceil(S/2)`` and returns it, proven optimal, when
         there is one (counters ``vh_allgamma_hits`` and
         ``vh_allgamma_misses``).
     backend:
-        MILP backend: ``"highs"`` (fast) or ``"bnb"`` (pure Python,
-        records convergence traces).  A vertex cover of at most 64
-        vertices and the Eq. 4 labeling of a graph of at most 32 nodes
-        are solved in process and reach neither unless that search runs
-        past its node budget.
+        Only ``"highs"`` is accepted: HiGHS solves every MILP of the
+        flow, though a vertex cover of at most 64 vertices and the Eq. 4
+        labeling of a graph of at most 32 nodes are solved in process
+        unless that search runs past its node budget.  The keyword is
+        kept for callers that still pass ``backend="highs"`` (the
+        benchmark's compile worker does).
     time_limit:
         Wall-clock budget in seconds for each exact labeling stage, not
         for the flow: the OCT, the Eq. 4 stage (the all-gamma search and
@@ -121,9 +122,9 @@ class Compact:
         default 1 is the paper's planar flow; ``layers >= 2`` stacks the
         design over ``layers + 1`` alternating nanowire planes.  The 2D
         labeling fixes the stitch set and the H/V bipartition, then the
-        exact plane MILP (:func:`~repro.core.klabel.assign_planes`,
-        warm-started by a zigzag fold) chooses each wire's plane; the
-        footprint is never larger than the planar one.
+        exact plane MILP (:func:`~repro.core.klabel.assign_planes`)
+        refines a zigzag fold of each wire's plane; the footprint is
+        never larger than the planar one.
     plane_method:
         ``"auto"`` or ``"decomposed-milp"``; both name the one stage-2
         plane solver (:func:`~repro.core.klabel.assign_planes`), and
@@ -144,6 +145,10 @@ class Compact:
             raise ValueError(f"unknown method {method!r}")
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if backend != "highs":
+            raise ValueError(
+                f"backend must be highs (HiGHS solves every stage), got {backend!r}"
+            )
         if jobs != 1:
             raise ValueError(
                 f"jobs must be 1 (the labeling solve is single-threaded), got {jobs!r}"
@@ -156,7 +161,6 @@ class Compact:
             )
         self.gamma = gamma
         self.method = method
-        self.backend = backend
         self.time_limit = time_limit
         self.layers = layers
 
@@ -250,7 +254,6 @@ class Compact:
                     self.layers,
                     gamma=self.gamma,
                     method=self.method,
-                    backend=self.backend,
                     time_limit=self.time_limit,
                 )
         with timer.stage("mapping"):
@@ -267,28 +270,13 @@ class Compact:
             return label_heuristic(bdd_graph)
 
         if self.method == "oct" or (self.method == "auto" and self.gamma == 1.0):
-            labeling = label_min_semiperimeter(
-                bdd_graph, backend=self.backend, time_limit=self.time_limit,
-            )
-            if self.method == "auto" and labeling.meta.get("promoted_ports"):
-                # Alignment conflicts forced extra VH labels; the Eq. 7 MIP
-                # handles those constraints exactly — keep the better one.
-                exact = label_weighted(
-                    bdd_graph,
-                    gamma=1.0,
-                    backend=self.backend,
-                    time_limit=self.time_limit,
-                    warm_start=labeling,
-                )
-                if exact.semiperimeter < labeling.semiperimeter:
-                    return exact
-            return labeling
+            # The aligned OCT puts every surviving port of a remainder
+            # component in one color class, so no port is ever promoted.
+            return label_min_semiperimeter(bdd_graph, time_limit=self.time_limit)
 
         warm = None
         if self.method == "auto":
-            warm = label_min_semiperimeter(
-                bdd_graph, backend=self.backend, time_limit=self.time_limit,
-            )
+            warm = label_min_semiperimeter(bdd_graph, time_limit=self.time_limit)
             # All-gamma shortcut: every labeling satisfies S >= S_min and
             # D >= ceil(S/2) (rows + cols = S).  A proven-minimal S with
             # D == ceil(S/2) therefore minimizes gamma*S + (1-gamma)*D
@@ -298,14 +286,12 @@ class Compact:
             # labeling before its MIP.)
             if (
                 warm.meta.get("optimal")
-                and not warm.meta.get("promoted_ports")
                 and warm.max_dimension <= (warm.semiperimeter + 1) // 2
             ):
                 return warm
         labeling = label_weighted(
             bdd_graph,
             gamma=self.gamma,
-            backend=self.backend,
             time_limit=self.time_limit,
             warm_start=warm,
         )

@@ -28,7 +28,6 @@ def label_constrained(
     max_cols: int | None = None,
     gamma: float = 0.5,
     alignment: bool = True,
-    backend: str = "highs",
     time_limit: float | None = None,
 ) -> VHLabeling:
     """VH-labeling under hard row/column budgets.
@@ -50,7 +49,7 @@ def label_constrained(
     if max_cols is not None:
         model.add_constraint(cols_expr <= max_cols, name="max_cols")
 
-    sol = model.solve(backend=backend, time_limit=time_limit)
+    sol = model.solve(time_limit=time_limit)
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
         raise ConstraintInfeasibleError(
             f"no valid design with rows <= {max_rows} and cols <= {max_cols}"

@@ -261,7 +261,6 @@ def assign_planes(
     num_layers: int,
     gamma: float = 0.5,
     method: str = "auto",
-    backend: str = "highs",
     time_limit: float | None = None,
 ) -> KLabeling:
     """Spread a planar labeling's wires over ``num_layers`` layers.
@@ -310,8 +309,7 @@ def assign_planes(
     exact = None
     if method != "heuristic":
         exact = _plane_milp_decomposed(
-            bdd_graph, labeling, num_layers, gamma,
-            backend=backend, time_limit=time_limit, warm=folded,
+            bdd_graph, labeling, num_layers, gamma, time_limit=time_limit,
         )
     if exact is not None:
         milp_labeling, milp_optimal = exact
@@ -515,9 +513,7 @@ def _plane_milp_decomposed(
     labeling: VHLabeling,
     num_layers: int,
     gamma: float,
-    backend: str,
     time_limit: float | None,
-    warm: KLabeling,
 ):
     """Exact plane assignment for the fixed stitch set; None on failure.
 
@@ -608,24 +604,8 @@ def _plane_milp_decomposed(
     model.add_constraint(d_var - c_var >= 0)
     model.minimize(gamma * (r_var + c_var) + (1.0 - gamma) * d_var)
 
-    initial = None
-    if backend == "bnb":
-        initial = {var.name: 0.0 for var in model.variables}
-        loads = [0] * (num_layers + 1)
-        for v in nodes:
-            lab = warm.labels[v]
-            initial[f"x_{v}_{lab}"] = 1.0
-            for p in lab.planes:
-                loads[p] += 1
-        initial["R"] = float(max(loads[0::2], default=0))
-        initial["C"] = float(max(loads[1::2], default=0))
-        initial["D"] = float(max(initial["R"], initial["C"]))
-
     try:
-        solution = model.solve(
-            backend=backend, time_limit=time_limit,
-            initial_solution=initial,
-        )
+        solution = model.solve(time_limit=time_limit)
     except Exception:
         return None
     if solution.status not in ("optimal", "feasible"):

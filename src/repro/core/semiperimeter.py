@@ -42,7 +42,6 @@ __all__ = ["label_min_semiperimeter", "label_heuristic"]
 def label_min_semiperimeter(
     bdd_graph: BddGraph,
     alignment: bool = True,
-    backend: str = "highs",
     time_limit: float | None = None,
 ) -> VHLabeling:
     """Solve the VH-labeling problem for minimal semiperimeter.
@@ -59,16 +58,13 @@ def label_min_semiperimeter(
         oct_result = aligned_odd_cycle_transversal(
             bdd_graph.graph,
             bdd_graph.port_nodes(),
-            backend=backend,
             time_limit=time_limit,
         )
-        # The transversal is minimal over aligned labelings, so the
-        # repair step below never fires when the solve completed.
+        # The transversal is taken on the hub graph, complete or cut
+        # short, so the repair step below never fires.
         exact_alignment = oct_result.optimal
     else:
-        oct_result = odd_cycle_transversal(
-            bdd_graph.graph, backend=backend, time_limit=time_limit,
-        )
+        oct_result = odd_cycle_transversal(bdd_graph.graph, time_limit=time_limit)
     oct_seconds = time.perf_counter() - t0
     return _labeling_from_oct(
         bdd_graph, oct_result, alignment,
@@ -99,9 +95,9 @@ def _labeling_from_oct(
     coloring = dict(oct_result.coloring)
     ports = bdd_graph.port_nodes() if alignment else set()
 
-    # Promote ports whose component cannot orient them onto wordlines.
-    # (Never fires after a completed aligned exact solve: its coloring
-    # already has one port color class per component.)
+    # Promote ports whose component cannot orient them onto wordlines
+    # (greedy OCT only: an aligned solve's coloring already has one port
+    # color class per component).
     bipartite = graph.subgraph(set(graph.nodes()) - oct_set)
     components = bipartite.connected_components()
     promoted: set[int] = set()
@@ -166,7 +162,6 @@ def _labeling_from_oct(
                 "oct": oct_seconds,
                 "orient": time.perf_counter() - t0,
             },
-            "trace": oct_result.trace,
         },
     )
     return labeling

@@ -81,7 +81,6 @@ def partition_outputs(
     max_rows: int,
     max_cols: int,
     gamma: float = 0.5,
-    backend: str = "highs",
     time_limit: float | None = 30.0,
 ) -> TiledDesign:
     """Split an SBDD's outputs over fixed-size tiles (first-fit greedy).
@@ -109,7 +108,7 @@ def partition_outputs(
             try:
                 labeling = label_constrained(
                     graph, max_rows=max_rows, max_cols=max_cols,
-                    gamma=gamma, backend=backend, time_limit=time_limit,
+                    gamma=gamma, time_limit=time_limit,
                 )
             except ConstraintInfeasibleError:
                 continue
@@ -122,7 +121,7 @@ def partition_outputs(
             try:
                 labeling = label_constrained(
                     graph, max_rows=max_rows, max_cols=max_cols,
-                    gamma=gamma, backend=backend, time_limit=time_limit,
+                    gamma=gamma, time_limit=time_limit,
                 )
             except ConstraintInfeasibleError as exc:
                 raise ConstraintInfeasibleError(
@@ -162,7 +161,6 @@ def tile_netlist(
     max_rows: int,
     max_cols: int,
     gamma: float = 0.5,
-    backend: str = "highs",
     time_limit: float | None = 30.0,
 ) -> TiledDesign:
     """Convenience wrapper: netlist -> SBDD -> tiled design.
@@ -181,7 +179,7 @@ def tile_netlist(
         graph = preprocess(sbdd)
         labeling = label_constrained(
             graph, max_rows=max_rows, max_cols=max_cols, gamma=gamma,
-            backend=backend, time_limit=time_limit,
+            time_limit=time_limit,
         )
         design = map_to_crossbar(graph, labeling, name=netlist.name)
         return TiledDesign(netlist.name, [design], {o: 0 for o in sbdd.roots},
@@ -190,7 +188,7 @@ def tile_netlist(
     tiled = partition_outputs(
         SBDD(sbdd.manager, live, name=netlist.name),
         max_rows=max_rows, max_cols=max_cols,
-        gamma=gamma, backend=backend, time_limit=time_limit,
+        gamma=gamma, time_limit=time_limit,
     )
     if constant:
         # Realise constant outputs on their own tiny tile.

@@ -79,7 +79,6 @@ def label_weighted(
     bdd_graph: BddGraph,
     gamma: float = 0.5,
     alignment: bool = True,
-    backend: str = "highs",
     time_limit: float | None = None,
     warm_start: VHLabeling | None = None,
 ) -> VHLabeling:
@@ -88,7 +87,7 @@ def label_weighted(
     A graph of at most 32 nodes (a ``G □ K2`` within the vertex cover
     search's gate) is solved exactly in process, as a minimum-cost
     vertex cover of the product (:func:`_label_weighted_search`), which
-    ignores ``backend`` and ``warm_start``.  A larger graph, one whose
+    ignores ``warm_start``.  A larger graph, one whose
     search runs past its node budget, and a spent budget
     (``time_limit <= 0``) go to the Eq. 4 MIP (:func:`_label_weighted_milp`).
     Before it, when ``warm_start`` is an aligned Method-A labeling with
@@ -118,7 +117,7 @@ def label_weighted(
     ):
         deadline = None if time_limit is None else time.monotonic() + time_limit
         labeling = _label_all_gamma(
-            bdd_graph, gamma, backend, time_limit, warm_start.semiperimeter
+            bdd_graph, gamma, time_limit, warm_start.semiperimeter
         )
         if labeling is not None:
             counters.increment("vh_allgamma_hits")
@@ -126,15 +125,12 @@ def label_weighted(
         counters.increment("vh_allgamma_misses")
         if deadline is not None:
             time_limit = max(0.0, deadline - time.monotonic())
-    return _label_weighted_milp(
-        bdd_graph, gamma, alignment, backend, time_limit, warm_start
-    )
+    return _label_weighted_milp(bdd_graph, gamma, alignment, time_limit, warm_start)
 
 
 def _label_all_gamma(
     bdd_graph: BddGraph,
     gamma: float,
-    backend: str,
     time_limit: float | None,
     s_min: int,
 ) -> VHLabeling | None:
@@ -175,7 +171,7 @@ def _label_all_gamma(
         model.add_constraint(xh[port] >= 1, name=f"align_{port}")
     model.minimize(d_var)
 
-    sol = model.solve(backend=backend, time_limit=time_limit)
+    sol = model.solve(time_limit=time_limit)
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
         return None
     if sol.int_value(d_var) > (s_min + 1) // 2:
@@ -219,7 +215,7 @@ def _proven_optimal(
     labels: dict[int, Label], gamma: float, runtime: float, nodes_explored: int
 ) -> VHLabeling:
     """A labeling proven optimal for ``gamma``, with the MILP path's meta
-    keys (``bound`` = ``objective``, gap 0, a one-point trace)."""
+    keys but ``trace`` (``bound`` = ``objective``, gap 0)."""
     labeling = VHLabeling(labels)
     objective = labeling.objective(gamma)
     labeling.meta = {
@@ -231,7 +227,6 @@ def _proven_optimal(
         "gap": 0.0,
         "runtime": runtime,
         "nodes_explored": nodes_explored,
-        "trace": [(runtime, objective, objective, 0.0)],
     }
     return labeling
 
@@ -240,21 +235,25 @@ def _label_weighted_milp(
     bdd_graph: BddGraph,
     gamma: float = 0.5,
     alignment: bool = True,
-    backend: str = "highs",
     time_limit: float | None = None,
     warm_start: VHLabeling | None = None,
+    backend: str = "highs",
 ) -> VHLabeling:
-    """Solve the Eq. 4 MIP with the requested backend.
+    """Solve the Eq. 4 MIP.
 
-    ``warm_start`` (typically a Method-A labeling) seeds the B&B
-    backend with a feasible incumbent.  With any backend, a solve that
-    does not prove its answer optimal returns ``warm_start`` instead
-    when it finds nothing better (``meta['fallback']``).
+    HiGHS solves it in the synthesis flow; the Figure 10/11 runners ask
+    ``backend`` for the pure-Python branch and bound, whose convergence
+    trace lands in ``meta['trace']`` and which ``warm_start`` (typically
+    a Method-A labeling) seeds with a feasible incumbent.  With either
+    solver, a solve that does not prove its answer optimal returns
+    ``warm_start`` instead when it finds nothing better
+    (``meta['fallback']``).
     """
     model, node_vars, _ = build_vh_model(bdd_graph, gamma, alignment)
 
     initial = None
-    if warm_start is not None and backend == "bnb":
+    if warm_start is not None and backend != "highs":
+        # scipy's HiGHS takes no incumbent; the branch and bound does.
         initial = _warm_values(bdd_graph, warm_start, model)
 
     sol = model.solve(

@@ -137,7 +137,7 @@ def _exact_cover(candidates, cover_of, remaining) -> list[str]:
         covering = [xs[p] for p in candidates if m in cover_of[p]]
         model.add_constraint(sum_expr(covering) >= 1)
     model.minimize(sum_expr(xs.values()))
-    sol = model.solve(backend="highs")
+    sol = model.solve()
     return [p for p in candidates if sol.int_value(xs[p]) == 1]
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..perf import counters
 from .bipartite import two_color
@@ -65,7 +65,6 @@ class OctResult:
     optimal: bool
     lower_bound: float = 0.0
     runtime: float = 0.0
-    trace: list = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -75,7 +74,6 @@ class OctResult:
 
 def odd_cycle_transversal(
     graph: UGraph,
-    backend: str = "highs",
     time_limit: float | None = None,
     decompose: bool = True,
 ) -> OctResult:
@@ -95,15 +93,12 @@ def odd_cycle_transversal(
         counters.increment(
             "oct_nodes_outside_cores", len(graph) - sum(len(c) for c in cores)
         )
-    return _combine(
-        graph, [_solve_core(core, None, (), backend, deadline) for core in cores]
-    )
+    return _combine(graph, [_solve_core(core, None, (), deadline) for core in cores])
 
 
 def aligned_odd_cycle_transversal(
     graph: UGraph,
     ports: Iterable[Node],
-    backend: str = "highs",
     time_limit: float | None = None,
     decompose: bool = True,
 ) -> OctResult:
@@ -119,9 +114,7 @@ def aligned_odd_cycle_transversal(
     """
     ports = set(ports) & set(graph.nodes())
     if not ports:
-        return odd_cycle_transversal(
-            graph, backend=backend, time_limit=time_limit, decompose=decompose,
-        )
+        return odd_cycle_transversal(graph, time_limit=time_limit, decompose=decompose)
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     hub = _fresh_node(graph)
@@ -140,10 +133,10 @@ def aligned_odd_cycle_transversal(
     for core in cores:
         if hub in core:
             solved.append(_solve_core(
-                core, hub, tuple(sorted(core.neighbors(hub))), backend, deadline,
+                core, hub, tuple(sorted(core.neighbors(hub))), deadline,
             ))
         else:
-            solved.append(_solve_core(core, None, (), backend, deadline))
+            solved.append(_solve_core(core, None, (), deadline))
     return _combine(graph, solved)
 
 
@@ -160,13 +153,12 @@ def _solve_core(
     core: UGraph,
     hub: Node | None,
     hub_ports: tuple,
-    backend: str,
     deadline: float | None,
 ) -> dict:
     """Exact OCT of one cyclic core (hub-pinned when ``hub`` is set).
 
     Returns a dict with ``oct_set``, ``optimal``, ``lower_bound`` (on
-    this core's transversal size), ``runtime`` and ``trace``.
+    this core's transversal size) and ``runtime``.
     """
     remaining = None
     if deadline is not None:
@@ -186,7 +178,7 @@ def _solve_core(
         product.remove_node((hub, 1))
         forced.add((hub, 1))
 
-    vc = minimum_vertex_cover(product, backend=backend, time_limit=remaining)
+    vc = minimum_vertex_cover(product, time_limit=remaining)
     cover = set(vc.cover) | forced
 
     oct_set: set = set()
@@ -216,7 +208,6 @@ def _solve_core(
             "optimal": False,
             "lower_bound": max(0.0, _core_bound(vc.lower_bound, core, forced)),
             "runtime": vc.runtime,
-            "trace": list(vc.trace),
         }
 
     return {
@@ -224,7 +215,6 @@ def _solve_core(
         "optimal": vc.optimal,
         "lower_bound": max(0.0, _core_bound(vc.lower_bound, core, forced)),
         "runtime": vc.runtime,
-        "trace": list(vc.trace),
     }
 
 
@@ -244,13 +234,11 @@ def _combine(graph: UGraph, solved: list[dict]) -> OctResult:
     optimal = True
     lower_bound = 0.0
     runtime = 0.0
-    trace: list = []
     for res in solved:
         oct_set |= res["oct_set"]
         optimal = optimal and res["optimal"]
         lower_bound += res["lower_bound"]
         runtime += res["runtime"]
-        trace.extend(res["trace"])
 
     # Stitch the coloring on the full remainder: bridges, tree parts and
     # bipartite blocks were never solved, and a single traversal colors
@@ -265,7 +253,6 @@ def _combine(graph: UGraph, solved: list[dict]) -> OctResult:
             optimal=False,
             lower_bound=max(0.0, lower_bound),
             runtime=runtime,
-            trace=trace,
         )
     return OctResult(
         oct_set=oct_set,
@@ -273,7 +260,6 @@ def _combine(graph: UGraph, solved: list[dict]) -> OctResult:
         optimal=optimal,
         lower_bound=max(0.0, lower_bound),
         runtime=runtime,
-        trace=trace,
     )
 
 

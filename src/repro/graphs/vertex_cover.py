@@ -3,8 +3,8 @@
 The paper computes minimal odd cycle transversals through a minimum
 vertex cover ILP (Section VI-A).  This module provides:
 
-* :func:`greedy_vertex_cover` — maximal-matching 2-approximation, used
-  as a warm start and upper bound;
+* :func:`greedy_vertex_cover` — maximal-matching 2-approximation, the
+  cover a kernel piece falls back to when its budget runs out;
 * :func:`nt_kernelize` — Nemhauser–Trotter LP-based kernelization: the
   VC linear relaxation is half-integral, and some optimal cover contains
   every LP-1 vertex and no LP-0 vertex, so branch and bound only needs
@@ -14,7 +14,7 @@ vertex cover ILP (Section VI-A).  This module provides:
   branch and bound on bitmask adjacency (:func:`_search_cover`); a
   larger one, or a small one whose search opens more than
   :data:`_SEARCH_NODE_BUDGET` branch nodes, goes to the kernel + ILP
-  path (:func:`_kernelized_cover`) with a choice of MILP backend.
+  path (:func:`_kernelized_cover`), whose MILPs HiGHS solves.
   There the ½-kernel is split into connected components — vertex
   cover decomposes exactly over them — and each component becomes its
   own (much smaller) MILP, solved in order.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Collection, Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -69,8 +69,6 @@ class VertexCoverResult:
     optimal: bool
     lower_bound: float
     runtime: float = 0.0
-    #: Convergence trace from the MILP solve of the kernel (may be empty).
-    trace: list = field(default_factory=list)
 
 
 def greedy_vertex_cover(graph: UGraph) -> set:
@@ -145,25 +143,23 @@ def nt_kernelize(graph: UGraph) -> tuple[set, set, UGraph, float]:
 
 def minimum_vertex_cover(
     graph: UGraph,
-    backend: str = "highs",
     time_limit: float | None = None,
     use_kernelization: bool = True,
 ) -> VertexCoverResult:
     """Exact minimum vertex cover.
 
     An instance with at most :data:`_SEARCH_MAX_VERTICES` vertices is
-    solved by the in-process search, which ignores ``backend`` and
+    solved by the in-process search, which ignores
     ``use_kernelization`` and always proves its answer optimal.  Any
     other instance — or a small one whose search runs past its node
     budget — kernelizes with Nemhauser–Trotter (unless disabled), splits
     the kernel into connected components — a minimum cover is the union
-    of per-component minimum covers — and solves each component with the
-    requested MILP backend, warm-started by the greedy 2-approximation.
-    With a ``time_limit`` (a budget shared by all component solves) the
-    result may be a feasible (non-optimal) cover; ``optimal`` reports
-    which.  A spent budget (``time_limit <= 0``) skips the search too:
-    the kernel path then returns the greedy cover of every piece its LP
-    leaves open.
+    of per-component minimum covers — and solves each component as a
+    HiGHS MILP.  With a ``time_limit`` (a budget shared by all component
+    solves) the result may be a feasible (non-optimal) cover; ``optimal``
+    reports which.  A spent budget (``time_limit <= 0``) skips the search
+    too: the kernel path then returns the greedy cover of every piece its
+    LP leaves open.
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     if len(graph) <= _SEARCH_MAX_VERTICES and (time_limit is None or time_limit > 0):
@@ -172,22 +168,18 @@ def minimum_vertex_cover(
         counters.increment("vc_search_nodes", nodes)
         if cover is not None:
             counters.increment("vc_search_solves")
-            runtime = time.perf_counter() - t0
-            size = float(len(cover))
             return VertexCoverResult(
                 cover=cover,
                 optimal=True,
-                lower_bound=size,
-                runtime=runtime,
-                trace=[(runtime, size, size, 0.0)],
+                lower_bound=float(len(cover)),
+                runtime=time.perf_counter() - t0,
             )
         counters.increment("vc_search_fallbacks")
-    return _kernelized_cover(graph, backend, deadline, use_kernelization)
+    return _kernelized_cover(graph, deadline, use_kernelization)
 
 
 def _kernelized_cover(
     graph: UGraph,
-    backend: str = "highs",
     deadline: float | None = None,
     use_kernelization: bool = True,
 ) -> VertexCoverResult:
@@ -213,16 +205,14 @@ def _kernelized_cover(
     optimal = True
     runtime = 0.0
     pieces_bound = 0.0
-    trace: list = []
     for piece in pieces:
-        piece_cover, piece_optimal, piece_bound, piece_runtime, piece_trace = (
-            _solve_piece(piece, backend, deadline)
+        piece_cover, piece_optimal, piece_bound, piece_runtime = _solve_piece(
+            piece, deadline
         )
         cover |= piece_cover
         optimal = optimal and piece_optimal
         pieces_bound += piece_bound
         runtime += piece_runtime
-        trace.extend(piece_trace)
 
     # VC(G) = |forced_in| + sum of per-component covers (Nemhauser-
     # Trotter), so per-component solver bounds compose into a bound at
@@ -233,7 +223,6 @@ def _kernelized_cover(
         optimal=optimal,
         lower_bound=lower_bound,
         runtime=runtime,
-        trace=trace,
     )
 
 
@@ -398,9 +387,9 @@ def _greedy_mask(adj: list[int], live: int) -> int:
 
 
 def _solve_piece(
-    kernel: UGraph, backend: str, deadline: float | None
-) -> tuple[set, bool, float, float, list]:
-    """Solve one kernel component; returns (cover, optimal, bound, runtime, trace).
+    kernel: UGraph, deadline: float | None
+) -> tuple[set, bool, float, float]:
+    """Solve one kernel component; returns (cover, optimal, bound, runtime).
 
     ``bound`` is a proven lower bound on the component's cover size (the
     cover size itself when optimality was proven, else the solver's dual
@@ -411,7 +400,7 @@ def _solve_piece(
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             # Budget exhausted before this component's solve started.
-            return greedy_vertex_cover(kernel), False, 0.0, 0.0, []
+            return greedy_vertex_cover(kernel), False, 0.0, 0.0
 
     model = Model("vertex_cover")
     xs = {v: model.add_binary(f"x_{v}") for v in kernel.nodes()}
@@ -419,24 +408,16 @@ def _solve_piece(
         model.add_constraint(xs[u] + xs[v] >= 1)
     model.minimize(sum_expr(xs.values()))
 
-    warm = {f"x_{v}": 1.0 for v in greedy_vertex_cover(kernel)}
-    for v in kernel.nodes():
-        warm.setdefault(f"x_{v}", 0.0)
-
-    sol = model.solve(
-        backend=backend,
-        time_limit=remaining,
-        initial_solution=warm if backend == "bnb" else None,
-    )
+    sol = model.solve(time_limit=remaining)
     if sol.status in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION):
         # VC is always feasible; fall back to the greedy cover (can only
         # happen when the time limit preempts the root LP).
         bound = max(0.0, sol.bound) if sol.bound is not None else 0.0
-        return greedy_vertex_cover(kernel), False, bound, sol.runtime, list(sol.trace)
+        return greedy_vertex_cover(kernel), False, bound, sol.runtime
 
     cover = {v for v in kernel.nodes() if sol.int_value(f"x_{v}")}
     if sol.is_optimal:
         bound = float(len(cover))
     else:
         bound = max(0.0, sol.bound) if sol.bound is not None else 0.0
-    return cover, sol.is_optimal, bound, sol.runtime, list(sol.trace)
+    return cover, sol.is_optimal, bound, sol.runtime

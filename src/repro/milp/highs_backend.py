@@ -1,8 +1,9 @@
 """scipy MILP (HiGHS) backend for the modeling layer.
 
-Fast reference solves.  HiGHS does not expose an incumbent/bound trace
-through scipy, so ``Solution.trace`` contains just the final point; use
-the ``bnb`` backend when convergence data is needed (Figures 10/11).
+The default solver, and the one every synthesis stage calls.  HiGHS
+does not expose an incumbent/bound trace through scipy, so
+``Solution.trace`` contains just the final point; use the ``bnb``
+backend when convergence data is needed (Figures 10/11).
 """
 
 from __future__ import annotations

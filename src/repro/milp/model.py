@@ -2,14 +2,14 @@
 
 The paper solves its VH-labeling formulations with CPLEX.  This package
 is the offline stand-in: a small modeling API (variables, linear
-expressions, constraints) plus two interchangeable solvers —
+expressions, constraints) plus two solvers —
 
+* :mod:`repro.milp.highs_backend` — scipy's ``milp`` (HiGHS), the
+  default and the one every stage of the synthesis flow calls.
 * :mod:`repro.milp.branch_and_bound` — a pure-Python best-bound branch
   and bound over scipy's HiGHS LP relaxation.  It records an
   (elapsed time, best integer, best bound, relative gap) trace, which is
   what Figures 10 and 11 of the paper plot.
-* :mod:`repro.milp.highs_backend` — scipy's ``milp`` (HiGHS) for fast
-  reference solves.
 
 Usage::
 
@@ -293,7 +293,7 @@ class Model:
     # -- solving ---------------------------------------------------------------------
     def solve(
         self,
-        backend: str = "bnb",
+        backend: str = "highs",
         time_limit: float | None = None,
         gap_tol: float = 1e-6,
         initial_solution: dict[str, float] | None = None,
@@ -304,8 +304,8 @@ class Model:
         Parameters
         ----------
         backend:
-            ``"bnb"`` for the pure-Python branch and bound (records full
-            convergence traces), ``"highs"`` for scipy's MILP.
+            ``"highs"`` for scipy's MILP, ``"bnb"`` for the pure-Python
+            branch and bound (records full convergence traces).
         time_limit:
             Wall-clock budget in seconds (None = unlimited).
         gap_tol:

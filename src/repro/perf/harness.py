@@ -10,10 +10,10 @@ records, so its K=1 column is the headline.  The resulting payload
 validates against :mod:`repro.perf.schema` and is what ``python -m
 repro bench perf --jobs N --perf-json BENCH_compact.json`` persists.
 
-Determinism: workers are pure (fresh manager and fresh counters per
-process and task) and records are sorted by circuit name, so a run's
-designs do not depend on ``--jobs`` as long as every solve finishes
-inside its wall-clock ``time_limit``.  A solve cut short by that budget
+Determinism: each task builds a fresh manager and records counter
+deltas over its own run, and records are sorted by circuit name, so a
+run's designs do not depend on ``--jobs`` as long as every solve
+finishes inside its wall-clock ``time_limit``.  A solve cut short by that budget
 returns whatever it had found, which depends on machine load; the
 committed baseline is therefore made at ``--jobs 1``.
 :func:`deterministic_view` strips the wall-clock fields for
@@ -51,13 +51,13 @@ __all__ = [
 
 #: Default per-circuit labeling budget (seconds) for perf runs.
 DEFAULT_TIME_LIMIT = 20.0
+#: The objective weight and labeling method every bench row runs with.
+GAMMA = 0.5
+METHOD = "auto"
 
 
 def run_perf_circuit(
     name: str,
-    gamma: float = 0.5,
-    method: str = "auto",
-    backend: str = "highs",
     time_limit: float = DEFAULT_TIME_LIMIT,
     layers: int = 1,
 ) -> dict:
@@ -67,11 +67,17 @@ def run_perf_circuit(
     :meth:`Compact.synthesize_netlist`, then validation.  Returns a
     JSON-ready record (see :mod:`repro.perf.schema`) that also carries
     what a layer-sweep row needs: via count, plane solver, plane
-    certificate and certified gap.
+    certificate and certified gap.  Its counter fields are the
+    increments this call made; the process-wide counters are left
+    running.
     """
     from ..bench.suites import circuit
 
-    counters.reset()
+    before = counters.snapshot()
+
+    def delta(counter: str) -> int:
+        return counters.get(counter) - before.get(counter, 0)
+
     netlist = circuit(name)
     start_order = static_order(netlist)
     static_nodes = build_sbdd(netlist, order=start_order).node_count()
@@ -81,10 +87,7 @@ def run_perf_circuit(
     order = sift_order(netlist, start=start_order, max_rounds=1, stats=sift_stats)
     t_sift = time.monotonic() - t0
 
-    compact = Compact(
-        gamma=gamma, method=method, backend=backend, time_limit=time_limit,
-        layers=layers,
-    )
+    compact = Compact(gamma=GAMMA, method=METHOD, time_limit=time_limit, layers=layers)
     t0 = time.monotonic()
     result = compact.synthesize_netlist(netlist, order=order)
     wall = time.monotonic() - t0
@@ -136,7 +139,7 @@ def run_perf_circuit(
             "swaps": sift_stats.get("swaps", 0),
             # Rebuilds *during the position search*: total counted builds
             # minus sift_order's single initial construction.
-            "rebuilds": counters.get("sbdd_rebuilds") - 1,
+            "rebuilds": delta("sbdd_rebuilds") - 1,
             "time_s": t_sift,
         },
         "stages": stages,
@@ -163,9 +166,9 @@ def run_perf_circuit(
         },
         "labeling": {
             "method": meta.get("method", ""),
-            "oct_cores": counters.get("oct_cores"),
-            "vc_kernel_milps": counters.get("vc_kernel_milps"),
-            "vc_kernel_splits": counters.get("vc_kernel_splits"),
+            "oct_cores": delta("oct_cores"),
+            "vc_kernel_milps": delta("vc_kernel_milps"),
+            "vc_kernel_splits": delta("vc_kernel_splits"),
             "plane_method": plane_method,
             "plane_optimal": plane_optimal,
             "certified_gap": certified_gap,
@@ -183,9 +186,6 @@ def run_perf_suite(
     tier: str | None = None,
     jobs: int = 1,
     names: list[str] | None = None,
-    gamma: float = 0.5,
-    method: str = "auto",
-    backend: str = "highs",
     time_limit: float = DEFAULT_TIME_LIMIT,
     layers: Sequence[int] | None = None,
 ) -> dict:
@@ -211,15 +211,9 @@ def run_perf_suite(
     sweep = None if layers is None else sorted({int(k) for k in layers})
     if sweep is not None and (not sweep or sweep[0] < 1):
         raise ValueError("layer counts must be integers >= 1")
-    kwargs = {
-        "gamma": gamma,
-        "method": method,
-        "backend": backend,
-        "time_limit": time_limit,
-    }
     names = sorted(set(names))
     tasks = [
-        (name, dict(kwargs, layers=k))
+        (name, {"time_limit": time_limit, "layers": k})
         for name in names
         for k in sorted({1, *(sweep or ())})
     ]
@@ -236,9 +230,9 @@ def run_perf_suite(
     payload = {
         "schema": BENCH_SCHEMA_ID,
         "suite_tier": tier or "fast",
-        "gamma": gamma,
-        "method": method,
-        "backend": backend,
+        "gamma": GAMMA,
+        "method": METHOD,
+        "backend": "highs",
         "time_limit": time_limit,
         "jobs": jobs,
         "python": platform.python_version(),
@@ -253,8 +247,8 @@ def run_perf_suite(
     if sweep is not None:
         payload["layer_sweep"] = {
             "layers": sweep,
-            "gamma": gamma,
-            "method": method,
+            "gamma": GAMMA,
+            "method": METHOD,
             "circuits": [
                 {
                     "circuit": name,

@@ -34,7 +34,6 @@ def milp_place(
     allowed_rows: Sequence[int],
     allowed_cols: Sequence[int],
     time_limit: float | None = 10.0,
-    backend: str = "highs",
 ) -> tuple[dict[int, int], dict[int, int]] | None:
     """Solve for a violation-free placement; None when proven infeasible
     (or no placement was found within ``time_limit``)."""
@@ -85,7 +84,7 @@ def milp_place(
         + sum_expr(var for (c, C), var in q.items() if c != C)
     )
 
-    solution = model.solve(backend=backend, time_limit=time_limit)
+    solution = model.solve(time_limit=time_limit)
     if solution.status not in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         return None
     row_map = {

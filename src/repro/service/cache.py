@@ -63,7 +63,8 @@ __all__ = [
 #: design and its output).
 #: v8: every expression request's key carries ``name`` (a ``validate``
 #: checks the design against the output of that name).
-CACHE_KEY_SCHEMA = "repro-service-key/8"
+#: v9: synth keys drop ``backend`` (HiGHS solves every stage).
+CACHE_KEY_SCHEMA = "repro-service-key/9"
 
 _READERS = None  # lazily populated: {"verilog": read_verilog, ...}
 

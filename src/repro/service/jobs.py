@@ -84,7 +84,6 @@ def _synth(params: dict) -> dict:
     compact = Compact(
         gamma=float(knob(params, SYNTH_DEFAULTS, "gamma")),
         method=knob(params, SYNTH_DEFAULTS, "method"),
-        backend=knob(params, SYNTH_DEFAULTS, "backend"),
         time_limit=float(knob(params, SYNTH_DEFAULTS, "time_limit")),
         layers=int(knob(params, SYNTH_DEFAULTS, "layers")),
     )

@@ -92,12 +92,11 @@ MAX_LINE_BYTES = 32 * 1024 * 1024
 #: Default synthesis knobs, shared by the job executor and the cache
 #: key derivation (through :func:`knob`) so that an omitted parameter,
 #: an explicit null and its explicit default hash to the same request.
-#: A request that still sends the retired ``solver_jobs`` knob is
-#: accepted; that knob is neither read nor hashed.
+#: A request that still sends the retired ``solver_jobs`` or
+#: ``backend`` knob is accepted; neither is read nor hashed.
 SYNTH_DEFAULTS: dict = {
     "gamma": 0.5,
     "method": "auto",
-    "backend": "highs",
     "time_limit": 60.0,
     "validate": True,
     "order": None,

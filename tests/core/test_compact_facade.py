@@ -34,6 +34,13 @@ class TestConfiguration:
         )
         assert compact.layers == 3 and compact.time_limit == 60
 
+    def test_backend_keyword_accepts_only_highs(self):
+        # HiGHS solves every stage; backend="highs" stays accepted for
+        # the benchmark's compile worker.
+        with pytest.raises(ValueError, match="backend"):
+            Compact(backend="bnb")
+        assert Compact(backend="highs").method == "auto"
+
     def test_plane_method_keyword_names_the_one_solver(self):
         # "auto" and "decomposed-milp" both mean the one plane solver.
         designs = {
@@ -133,8 +140,8 @@ class TestPaperProperties:
 
 
 class TestAutoKeepsTheWarmLabeling:
-    """``method="auto"`` hands its OCT labeling to the Eq. 4 solve under
-    every backend, and an unproven solve never returns anything worse.
+    """``method="auto"`` hands its OCT labeling to the Eq. 4 solve, and an
+    unproven solve never returns anything worse.
 
     The MIP's outcome is forced by patching ``Model.solve`` for the Eq. 4
     model only; the vertex cover gate is patched to 0 so this small
@@ -174,7 +181,7 @@ class TestAutoKeepsTheWarmLabeling:
         warm = label_min_semiperimeter(bg)
         assert warm.meta["optimal"]
         assert warm.max_dimension > (warm.semiperimeter + 1) // 2
-        assert _label_all_gamma(bg, 0.5, "highs", None, warm.semiperimeter) is None
+        assert _label_all_gamma(bg, 0.5, None, warm.semiperimeter) is None
         return bg, warm
 
     def test_cut_off_root_returns_the_warm_labeling(self, milp_outcome):

@@ -1,20 +1,41 @@
 """Tests for the VH-labeling solvers (Methods A and B, heuristic)."""
 
+import random
+
 import pytest
 
 from repro.bdd import build_sbdd, sbdd_from_exprs
+from repro.bench.suites import circuit
 from repro.core import (
+    BddGraph,
     label_heuristic,
     label_min_semiperimeter,
     label_weighted,
     preprocess,
 )
 from repro.circuits import c17, decoder, parity_tree, priority_encoder
+from repro.core.weighted import _label_weighted_milp
 from repro.expr import parse
+from repro.graphs import UGraph
 
 
 def graph_of(netlist):
     return preprocess(build_sbdd(netlist))
+
+
+def random_port_graph(seed):
+    """A random graph of 10-40 nodes with 1-6 random ports."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 40)
+    density = rng.uniform(0.08, 0.25)
+    graph = UGraph()
+    for i in range(n):
+        graph.add_node(i)
+        for j in range(i):
+            if rng.random() < density:
+                graph.add_edge(j, i)
+    ports = rng.sample(range(n), rng.randint(1, 6))
+    return BddGraph(graph, {f"o{k}": p for k, p in enumerate(ports)}, None)
 
 
 class TestMethodA:
@@ -52,17 +73,21 @@ class TestMethodA:
             else:
                 assert a.semiperimeter >= b.semiperimeter, nl.name
 
-    def test_bnb_backend(self, c17_netlist, monkeypatch):
-        # c17's product is small enough for the in-process search, which
-        # reads no backend: send it to the kernel + MILP path instead.
-        from repro.graphs import vertex_cover
-
-        monkeypatch.setattr(vertex_cover, "_SEARCH_MAX_VERTICES", 0)
-        bg = graph_of(c17_netlist)
-        lab = label_min_semiperimeter(bg, backend="bnb")
-        lab.validate(bg)
-        ref = label_min_semiperimeter(bg, backend="highs")
-        assert lab.semiperimeter == ref.semiperimeter
+    @pytest.mark.parametrize("time_limit", [0, None])
+    @pytest.mark.parametrize(
+        "case", ["c17", "alu4", "i2c_like", "ctrl_like", "rca8", 0, 1, 2, 3, 4, 5]
+    )
+    def test_aligned_solve_promotes_no_port(self, case, time_limit):
+        # The aligned OCT is taken on the hub graph, complete or cut
+        # short, so every surviving port of a remainder component lands
+        # in one color class.
+        if isinstance(case, str):
+            bg = graph_of(circuit(case))
+        else:
+            bg = random_port_graph(case)
+        lab = label_min_semiperimeter(bg, alignment=True, time_limit=time_limit)
+        lab.validate(bg, alignment=True)
+        assert lab.meta["promoted_ports"] == 0
 
 
 @pytest.mark.usefixtures("milp_labeling")
@@ -108,25 +133,27 @@ class TestMethodB:
             assert free.objective(0.5) <= pinned.objective(0.5)
 
     def test_warm_start_bnb(self, c17_netlist):
+        # The Figure 10/11 runners' pure-Python branch and bound, seeded
+        # with the Method-A labeling.
         bg = graph_of(c17_netlist)
         warm = label_min_semiperimeter(bg)
-        lab = label_weighted(bg, gamma=0.5, backend="bnb", time_limit=20, warm_start=warm)
+        lab = _label_weighted_milp(
+            bg, gamma=0.5, time_limit=20, warm_start=warm, backend="bnb"
+        )
         lab.validate(bg)
-        ref = label_weighted(bg, gamma=0.5, backend="highs")
+        ref = label_weighted(bg, gamma=0.5)
         assert lab.objective(0.5) >= ref.objective(0.5) - 1e-9
-
-    def test_trace_recorded_with_bnb(self, c17_netlist):
-        bg = graph_of(c17_netlist)
-        lab = label_weighted(bg, gamma=0.5, backend="bnb", time_limit=20)
-        assert lab.meta["trace"]
 
     def test_timeout_falls_back_to_warm_start(self, priority5):
         bg = graph_of(priority5)
         warm = label_min_semiperimeter(bg)
-        lab = label_weighted(
-            bg, gamma=0.5, backend="bnb", time_limit=0.0, warm_start=warm
-        )
-        lab.validate(bg)
+        for backend in ("bnb", "highs"):
+            lab = _label_weighted_milp(
+                bg, gamma=0.5, time_limit=0.0, warm_start=warm, backend=backend
+            )
+            lab.validate(bg)
+            assert not lab.meta["optimal"], backend
+            assert lab.objective(0.5) == warm.objective(0.5), backend
 
 
 class TestHeuristic:

@@ -194,11 +194,10 @@ class TestVertexCover:
         g.add_node(2)
         assert minimum_vertex_cover(g).cover == set()
 
-    @pytest.mark.parametrize("backend", ["highs", "bnb"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_optimal_vs_brute_force(self, backend, seed):
+    def test_optimal_vs_brute_force(self, seed):
         g = random_graph(9, 0.35, seed)
-        result = _kernelized_cover(g, backend=backend)
+        result = _kernelized_cover(g)
         assert result.optimal
         assert len(result.cover) == brute_vertex_cover(g)
         assert all(u in result.cover or v in result.cover for u, v in g.edges())
@@ -303,11 +302,10 @@ class TestOct:
         r = odd_cycle_transversal(complete(5))
         assert r.size == 3
 
-    @pytest.mark.parametrize("backend", ["highs", "bnb"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_optimal_vs_brute_force(self, backend, seed, kernel_path):
+    def test_optimal_vs_brute_force(self, seed, kernel_path):
         g = random_graph(8, 0.35, seed)
-        r = odd_cycle_transversal(g, backend=backend)
+        r = odd_cycle_transversal(g)
         assert r.optimal
         assert r.size == brute_oct(g)
         assert verify_oct(g, r.oct_set)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.perf import validate_bench_payload
+from repro.perf import counters, validate_bench_payload
 from repro.perf.harness import (
     deterministic_view,
     run_perf_circuit,
@@ -34,6 +34,22 @@ class TestRunPerfCircuit:
         assert record["crossbar"]["semiperimeter"] == (
             record["crossbar"]["rows"] + record["crossbar"]["cols"]
         )
+
+    def test_counters_survive_and_record_deltas(self):
+        # The record's counter fields are this call's increments; the
+        # process-wide counters keep what they held before it.
+        counters.increment("oct_cores", 5)
+        before = counters.snapshot()
+        record = run_perf_circuit("c17", time_limit=10.0)
+        after = counters.snapshot()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert after["oct_cores"] >= 5
+        for name in ("oct_cores", "vc_kernel_milps", "vc_kernel_splits"):
+            assert record["labeling"][name] == delta(name)
+        assert record["sift"]["rebuilds"] == delta("sbdd_rebuilds") - 1
 
     def test_unknown_circuit_rejected(self):
         with pytest.raises(ValueError, match="unknown suite circuits: nope"):

@@ -50,7 +50,7 @@ def test_circuit_text_is_canonicalised_before_hashing():
 def test_omitted_knobs_hash_like_their_defaults():
     implicit = request_key("synth", {"expr": "a & b"})
     explicit = request_key("synth", {
-        "expr": "a & b", "gamma": 0.5, "method": "auto", "backend": "highs",
+        "expr": "a & b", "gamma": 0.5, "method": "auto",
         "time_limit": 60.0, "validate": True, "order": None,
     })
     assert implicit == explicit
@@ -170,17 +170,18 @@ def test_capacity_must_be_positive():
 
 
 def test_retired_solver_jobs_param_is_ignored_by_the_key():
-    # The labeling solve has one thread, so a request that still sends
-    # solver_jobs means the same job as one without it.
+    # The labeling solve has one thread and HiGHS solves every stage, so
+    # a request that still sends solver_jobs or backend means the same
+    # job as one without them.
     from repro.service.cache import CACHE_KEY_SCHEMA
     from repro.service.jobs import execute
 
-    assert CACHE_KEY_SCHEMA == "repro-service-key/8"
+    assert CACHE_KEY_SCHEMA == "repro-service-key/9"
     plain = {"expr": "(a & b) | c"}
-    legacy = dict(plain, solver_jobs=4)
-    assert request_key("synth", legacy) == request_key("synth", plain)
-    designs = [execute("synth", p)["result"]["design_json"] for p in (plain, legacy)]
-    assert designs[0] == designs[1]
+    for legacy in (dict(plain, solver_jobs=4), dict(plain, backend="bnb")):
+        assert request_key("synth", legacy) == request_key("synth", plain)
+        designs = [execute("synth", p)["result"]["design_json"] for p in (plain, legacy)]
+        assert designs[0] == designs[1]
 
 
 def test_synth_key_distinguishes_layer_counts():

@@ -152,6 +152,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "fig99"])
 
+    def test_synth_params_carry_exactly_the_service_knobs(self):
+        # A knob retired from the wire leaves both synth commands too;
+        # only the wire takes an explicit variable order.
+        from repro.cli import _synth_params
+        from repro.service.protocol import SYNTH_DEFAULTS
+
+        for argv in (
+            ["synth", "--expr", "a"],
+            ["client", "--tcp", "127.0.0.1:1", "synth", "--expr", "a"],
+        ):
+            params = _synth_params(build_parser().parse_args(argv))
+            assert set(params) - {"expr"} == set(SYNTH_DEFAULTS) - {"order"}
+
 
 class TestMalformedInputExitCodes:
     """Malformed files exit with code 2 and a one-line message (no traceback)."""

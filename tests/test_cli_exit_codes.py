@@ -162,6 +162,8 @@ C17_V = str(REPO_ROOT / "examples" / "circuits" / "c17.v")
     ["serve", "--tcp", "127.0.0.1:0", "--cache-shards", "4"],
     ["client", "--tcp", "127.0.0.1:1", "synth", C17_V, "--jobs", "2"],
     ["bench", "perf", "--circuits", "c17", "--solver-jobs", "2"],
+    ["synth", C17_V, "--backend", "bnb"],
+    ["client", "--tcp", "127.0.0.1:1", "synth", C17_V, "--backend", "bnb"],
 ])
 def test_retired_thread_and_shard_flags_exit_two(capsys, argv):
     assert _exit_code(argv) == 2

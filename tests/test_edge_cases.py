@@ -82,17 +82,6 @@ class TestCompactCorners:
         lab = Compact().label(empty)
         assert isinstance(lab, VHLabeling) and not lab.labels
 
-    def test_bnb_backend_end_to_end_small(self):
-        res = Compact(gamma=0.5, backend="bnb", time_limit=20).synthesize_expr(
-            parse("(a & b) | (b & c)"), name="f"
-        )
-        rep = validate_design(
-            res.design,
-            lambda env: {"f": parse("(a & b) | (b & c)").evaluate(env)},
-            ["a", "b", "c"],
-        )
-        assert rep.ok
-
     def test_two_outputs_same_root_share_row(self):
         res = Compact().synthesize_expr({"f": parse("a & b"), "g": parse("a & b")})
         assert res.design.output_rows["f"] == res.design.output_rows["g"]
