@@ -232,19 +232,18 @@ def _execute_or_exit(method: str, params: dict) -> dict:
     return {"__error__": error}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse command tree (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="COMPACT: flow-based crossbar synthesis (DATE 2021 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _request_options() -> tuple[argparse.ArgumentParser, ...]:
+    """The ``synth``, ``map`` and ``validate`` options, declared once.
 
-    synth = sub.add_parser("synth", help="synthesize a crossbar design")
+    ``repro X`` and ``repro client X`` take them as parent parsers, so
+    the two sides cannot drift; only ``repro synth --spice`` is extra.
+    """
+    formats = ["auto", "verilog", "blif", "pla"]
+    synth = argparse.ArgumentParser(add_help=False)
     src = synth.add_mutually_exclusive_group(required=True)
     src.add_argument("circuit", nargs="?", help="Verilog/BLIF/PLA file")
     src.add_argument("--expr", help="Boolean expression, e.g. '(a & b) | c'")
-    synth.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
+    synth.add_argument("--format", default="auto", choices=formats)
     synth.add_argument("--gamma", type=float, default=0.5)
     synth.add_argument("--method", default="auto", choices=["auto", "mip", "oct", "heuristic"])
     synth.add_argument("--time-limit", type=float, default=60.0)
@@ -253,6 +252,46 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--no-validate", action="store_true", help="skip the equivalence check")
     synth.add_argument("--render", action="store_true", help="print the crossbar grid")
     synth.add_argument("--json", metavar="PATH", help="write the design as JSON")
+
+    remap = argparse.ArgumentParser(add_help=False)
+    remap.add_argument("design", help="design JSON produced by synth --json")
+    remap.add_argument("--circuit", required=True, help="source circuit file")
+    remap.add_argument("--format", default="auto", choices=formats)
+    remap.add_argument("--fault-map", required=True, metavar="PATH",
+                       help="fault map JSON (see 'repro faults')")
+    remap.add_argument("--spare-rows", type=int, default=None, metavar="N",
+                       help="cap on spare rows used (default: all the array offers)")
+    remap.add_argument("--spare-cols", type=int, default=None, metavar="N")
+    remap.add_argument("--method", default="auto", choices=["auto", "greedy", "milp"])
+    remap.add_argument("--time-limit", type=float, default=10.0, metavar="SECONDS",
+                       help="MILP fallback budget per stage")
+    remap.add_argument("--seed", type=int, default=0)
+    remap.add_argument("--resynthesize", action="store_true",
+                       help="escalate to re-synthesis under alternative variable orders")
+    remap.add_argument("--json", metavar="PATH", help="write the remapped design as JSON")
+    remap.add_argument("--render", action="store_true", help="print the remapped grid")
+
+    validate = argparse.ArgumentParser(add_help=False)
+    validate.add_argument("design", help="design JSON produced by synth --json")
+    validate.add_argument("--circuit", required=True, help="source circuit file")
+    validate.add_argument("--format", default="auto", choices=formats)
+    validate.add_argument("--fault-map", metavar="PATH",
+                          help="also validate under the stuck-at faults in this map")
+    validate.add_argument("--json", action="store_true",
+                          help="emit the diagnostics JSON document instead of text")
+    return synth, remap, validate
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the argparse command tree (exposed for testing)."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="COMPACT: flow-based crossbar synthesis (DATE 2021 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    synth_opts, map_opts, validate_opts = _request_options()
+    synth = sub.add_parser("synth", parents=[synth_opts], help="synthesize a crossbar design")
     synth.add_argument("--spice", metavar="PATH",
                        help="write a SPICE deck (all-ones assignment; planar, --layers 1)")
 
@@ -260,14 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("circuit")
     report.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
 
-    validate = sub.add_parser("validate", help="check a saved design JSON")
-    validate.add_argument("design", help="design JSON produced by synth --json")
-    validate.add_argument("--circuit", required=True, help="source circuit file")
-    validate.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
-    validate.add_argument("--fault-map", metavar="PATH",
-                          help="also validate under the stuck-at faults in this map")
-    validate.add_argument("--json", action="store_true",
-                          help="emit the diagnostics JSON document instead of text")
+    sub.add_parser("validate", parents=[validate_opts], help="check a saved design JSON")
 
     check_p = sub.add_parser(
         "check", help="static analysis: netlists, design JSONs, the codebase"
@@ -286,25 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--verbose", action="store_true",
                          help="include info-level diagnostics (certificates) in text output")
 
-    remap_p = sub.add_parser(
-        "map", help="defect-aware remapping of a design onto a faulty array"
+    sub.add_parser(
+        "map", parents=[map_opts],
+        help="defect-aware remapping of a design onto a faulty array",
     )
-    remap_p.add_argument("design", help="design JSON produced by synth --json")
-    remap_p.add_argument("--circuit", required=True, help="source circuit file")
-    remap_p.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
-    remap_p.add_argument("--fault-map", required=True, metavar="PATH",
-                         help="fault map JSON (see 'repro faults')")
-    remap_p.add_argument("--spare-rows", type=int, default=None, metavar="N",
-                         help="cap on spare rows used (default: all the array offers)")
-    remap_p.add_argument("--spare-cols", type=int, default=None, metavar="N")
-    remap_p.add_argument("--method", default="auto", choices=["auto", "greedy", "milp"])
-    remap_p.add_argument("--time-limit", type=float, default=10.0, metavar="SECONDS",
-                         help="MILP fallback budget per stage")
-    remap_p.add_argument("--seed", type=int, default=0)
-    remap_p.add_argument("--resynthesize", action="store_true",
-                         help="escalate to re-synthesis under alternative variable orders")
-    remap_p.add_argument("--json", metavar="PATH", help="write the remapped design as JSON")
-    remap_p.add_argument("--render", action="store_true", help="print the remapped grid")
 
     faults_p = sub.add_parser("faults", help="generate a random stuck-at fault map")
     faults_p.add_argument("rows", type=int, help="physical array rows")
@@ -346,42 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="transport timeout per request")
     csub = client_p.add_subparsers(dest="client_command", required=True)
 
-    c_synth = csub.add_parser("synth", help="synthesize via the service")
-    c_src = c_synth.add_mutually_exclusive_group(required=True)
-    c_src.add_argument("circuit", nargs="?", help="Verilog/BLIF/PLA file")
-    c_src.add_argument("--expr", help="Boolean expression, e.g. '(a & b) | c'")
-    c_synth.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
-    c_synth.add_argument("--gamma", type=float, default=0.5)
-    c_synth.add_argument("--method", default="auto", choices=["auto", "mip", "oct", "heuristic"])
-    c_synth.add_argument("--time-limit", type=float, default=60.0)
-    c_synth.add_argument("--layers", type=int, default=1, metavar="K",
-                         help="memristor layers in the target crossbar (default 1)")
-    c_synth.add_argument("--no-validate", action="store_true")
-    c_synth.add_argument("--render", action="store_true")
-    c_synth.add_argument("--json", metavar="PATH", help="write the design as JSON")
-
-    c_map = csub.add_parser("map", help="defect-aware remap via the service")
-    c_map.add_argument("design", help="design JSON produced by synth --json")
-    c_map.add_argument("--circuit", required=True)
-    c_map.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
-    c_map.add_argument("--fault-map", required=True, metavar="PATH")
-    c_map.add_argument("--spare-rows", type=int, default=None, metavar="N")
-    c_map.add_argument("--spare-cols", type=int, default=None, metavar="N")
-    c_map.add_argument("--method", default="auto", choices=["auto", "greedy", "milp"])
-    c_map.add_argument("--time-limit", type=float, default=10.0, metavar="SECONDS")
-    c_map.add_argument("--seed", type=int, default=0)
-    c_map.add_argument("--resynthesize", action="store_true")
-    c_map.add_argument("--json", metavar="PATH")
-    c_map.add_argument("--render", action="store_true")
-
-    c_validate = csub.add_parser("validate", help="check a design JSON via the service")
-    c_validate.add_argument("design")
-    c_validate.add_argument("--circuit", required=True)
-    c_validate.add_argument("--format", default="auto", choices=["auto", "verilog", "blif", "pla"])
-    c_validate.add_argument("--fault-map", metavar="PATH",
-                            help="also validate under the stuck-at faults in this map")
-    c_validate.add_argument("--json", action="store_true",
-                            help="emit the diagnostics JSON document instead of text")
+    csub.add_parser("synth", parents=[synth_opts], help="synthesize via the service")
+    csub.add_parser("map", parents=[map_opts], help="defect-aware remap via the service")
+    csub.add_parser(
+        "validate", parents=[validate_opts], help="check a design JSON via the service"
+    )
 
     csub.add_parser("ping", help="liveness check")
     csub.add_parser("stats", help="server, engine and cache statistics (JSON)")

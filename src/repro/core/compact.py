@@ -59,17 +59,6 @@ class CompactResult:
     def optimal(self) -> bool:
         return bool(self.labeling.meta.get("optimal", False))
 
-    @property
-    def variable_order(self) -> tuple[str, ...]:
-        """The BDD variable order the design was synthesized under.
-
-        The fault-tolerant pipeline (:mod:`repro.robust.pipeline`)
-        records this per attempt: different orders produce structurally
-        different crossbars, which is what lets re-synthesis route
-        around fault maps that block the default design.
-        """
-        return self.sbdd.manager.var_order
-
 
 class Compact:
     """COMPACT synthesis flow with the paper's knobs.

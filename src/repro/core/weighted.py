@@ -246,8 +246,8 @@ def _label_weighted_milp(
     trace lands in ``meta['trace']`` and which ``warm_start`` (typically
     a Method-A labeling) seeds with a feasible incumbent.  With either
     solver, a solve that does not prove its answer optimal returns
-    ``warm_start`` instead when it finds nothing better
-    (``meta['fallback']``).
+    ``warm_start`` instead when its objective is no better than the warm
+    start's (``meta['fallback']``).
     """
     model, node_vars, _ = build_vh_model(bdd_graph, gamma, alignment)
 
@@ -274,7 +274,7 @@ def _label_weighted_milp(
     }
     solved = sol.status not in (SolveStatus.INFEASIBLE, SolveStatus.NO_SOLUTION)
     if warm_start is not None and not sol.is_optimal and (
-        not solved or warm_start.objective(gamma) < sol.objective - 1e-9
+        not solved or warm_start.objective(gamma) < sol.objective + 1e-9
     ):
         objective = warm_start.objective(gamma)
         out = VHLabeling(dict(warm_start.labels), meta=dict(warm_start.meta))

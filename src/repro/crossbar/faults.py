@@ -16,7 +16,6 @@ import json
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .design import CrossbarDesign
 from .validate import Reference
@@ -106,16 +105,6 @@ class FaultMap:
                     f"{prev} and {fault.kind}"
                 )
             seen[(fault.layer, fault.row, fault.col)] = fault.kind
-
-    @cached_property
-    def stuck_on_sites(self) -> frozenset[tuple[int, int]]:
-        """Crosspoints shorted permanently on."""
-        return frozenset((f.row, f.col) for f in self.faults if f.kind == STUCK_ON)
-
-    @cached_property
-    def stuck_off_sites(self) -> frozenset[tuple[int, int]]:
-        """Crosspoints that can never conduct."""
-        return frozenset((f.row, f.col) for f in self.faults if f.kind == STUCK_OFF)
 
     @property
     def density(self) -> float:
@@ -261,7 +250,6 @@ def is_functional_under_faults(
     """
     from .validate import _run_validation
 
-    _check_fault_bounds(design, faults)
     return _run_validation(
         design, tuple(faults), reference, inputs, exhaustive_limit, samples, seed
     ).ok

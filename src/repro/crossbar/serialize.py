@@ -118,7 +118,7 @@ def design_from_json(text: str) -> CrossbarDesign:
     for cell in payload["cells"]:
         design.set_cell3(
             cell.get("layer", 0), cell["row"], cell["col"],
-            Lit(cell["var"], cell["positive"]),
+            Lit(cell.get("var"), cell["positive"]),
         )
     for plane, labels in enumerate(plane_labels):
         design.plane_labels[plane].update({int(k): v for k, v in labels.items()})

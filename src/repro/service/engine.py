@@ -383,8 +383,10 @@ class Engine:
         microseconds to milliseconds — so repeated requests (the whole
         point of a cache) resolve their key from a bounded LRU memo of
         the raw parameter bytes instead.  Returns ``None`` for
-        uncacheable methods and unparseable payloads (memoised too: a
-        payload that failed to parse once will fail again).
+        uncacheable methods and for payloads that fail to canonicalize,
+        whatever the exception (memoised too: a payload that failed
+        once will fail again); the worker reports the failure as a
+        structured error.
         """
         if method not in CACHEABLE_METHODS:
             return None
@@ -393,7 +395,7 @@ class Engine:
             return key
         try:
             key = request_key(method, params)
-        except (ValueError, KeyError, TypeError):
+        except Exception:  # noqa: BLE001 — the worker's execute() reports it
             key = None
         if blob is not None:
             with self._key_memo_lock:

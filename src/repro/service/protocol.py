@@ -206,6 +206,8 @@ def _decode_line(line: bytes | str) -> dict:
         frame = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProtocolError("frame nests too deeply to decode") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(f"frame must be an object, got {type(frame).__name__}")
     version = frame.get("v")

@@ -441,19 +441,14 @@ class ServiceServer:
         """Admit one engine-bound frame off the loop and await its result."""
         loop = asyncio.get_running_loop()
         method, params = request["method"], request["params"]
+        # submit_batch blocks until the whole (possibly shrunk) batch
+        # resolves; it occupies a dispatch thread, not the loop.
+        submit = self.engine.submit_batch if method in BATCH_METHODS else self.engine.submit
         try:
-            if method in BATCH_METHODS:
-                # submit_batch blocks until the whole (possibly shrunk)
-                # batch resolves; it occupies a dispatch thread, not the loop.
-                future, info = await loop.run_in_executor(
-                    self._dispatch, self.engine.submit_batch, method, params
-                )
-            else:
-                future, info = await loop.run_in_executor(
-                    self._dispatch, self.engine.submit, method, params
-                )
-        except RuntimeError:  # dispatch pool shut down mid-flight
+            admitted = loop.run_in_executor(self._dispatch, submit, method, params)
+        except RuntimeError:  # the dispatch pool is shut down
             return encode(error_response(request["id"], "draining", _DRAINING_MESSAGE))
+        future, info = await admitted
         payload = await self._bounded_await(future)
         if not payload.get("ok"):
             error = payload["error"]

@@ -154,6 +154,8 @@ class TestMethodB:
             lab.validate(bg)
             assert not lab.meta["optimal"], backend
             assert lab.objective(0.5) == warm.objective(0.5), backend
+            assert lab.meta["fallback"] == "warm_start", backend
+            assert lab.meta["oct_lower_bound"] == warm.meta["oct_lower_bound"], backend
 
 
 class TestHeuristic:

@@ -127,6 +127,36 @@ def test_distinct_pipelined_frames_are_not_coalesced(server):
     assert counters.get("service_jobs_submitted") == len(exprs)
 
 
+def test_a_request_that_cannot_be_keyed_is_answered_on_a_live_connection(server):
+    """Admission treats every canonicalization failure as "no key": the
+    worker answers it with a structured error (never ``draining``), and a
+    ``ping`` pipelined behind it on the same connection is answered."""
+    deep = "(" * 200 + "a" + ")" * 200  # RecursionError in the parser
+    no_planes = json.dumps({
+        "format": "repro.crossbar/2", "name": "d", "layers": 0, "plane_sizes": [],
+        "input_row": 0, "output_rows": {"f": 0}, "cells": [],
+    })
+    sock, reader = _raw_conn(server)
+    try:
+        answers = []
+        for method, params, code in (
+            ("synth", {"expr": deep}, "internal"),
+            ("validate", {"design_json": no_planes, "expr": "a"}, "bad_request"),
+        ):
+            sock.sendall(
+                encode(make_request(method, params, request_id=len(answers)))
+                + encode(make_request("ping", {}, request_id=len(answers) + 1))
+            )
+            failed, pong = (json.loads(reader.readline()) for _ in range(2))
+            assert failed["ok"] is False and failed["error"]["code"] == code, failed
+            assert pong["ok"] is True and pong["result"] == {"pong": True}
+            answers += [failed, pong]
+    finally:
+        reader.close()
+        sock.close()
+    assert [a["id"] for a in answers] == [0, 1, 2, 3]
+
+
 def test_frames_after_drain_get_structured_draining_errors():
     """A frame admitted after drain begins is answered with a structured
     ``draining`` error on a live connection — never a torn socket."""

@@ -130,7 +130,14 @@ def test_malformed_frames_get_protocol_errors_and_connection_survives(server):
     _kind, host, port = server.address
     with socket.create_connection((host, port), timeout=30) as sock:
         reader = sock.makefile("rb")
-        for line in (b"this is not json\n", b'{"v": 99, "id": 1, "method": "ping", "params": {}}\n'):
+        nested = b'{"v": 1, "id": 1, "method": "ping", "params": {"x": %s}}\n' % (
+            b"[" * 100_000 + b"]" * 100_000
+        )
+        for line in (
+            b"this is not json\n",
+            b'{"v": 99, "id": 1, "method": "ping", "params": {}}\n',
+            nested,
+        ):
             sock.sendall(line)
             frame = json.loads(reader.readline())
             assert frame["ok"] is False

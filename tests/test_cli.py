@@ -1,5 +1,6 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import argparse
 import json
 
 import pytest
@@ -164,6 +165,31 @@ class TestParser:
         ):
             params = _synth_params(build_parser().parse_args(argv))
             assert set(params) - {"expr"} == set(SYNTH_DEFAULTS) - {"order"}
+
+    @pytest.mark.parametrize("command", ["synth", "map", "validate"])
+    def test_client_commands_take_the_single_shot_options(self, command):
+        # ``repro X`` and ``repro client X`` share one declaration;
+        # only ``repro synth --spice`` (a local file) is single-shot.
+        def subcommand(parser, name):
+            (subparsers,) = (
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            return subparsers.choices[name]
+
+        def signature(parser):
+            return {
+                (tuple(a.option_strings) or a.dest, a.required, a.default,
+                 tuple(a.choices or ()))
+                for a in parser._actions
+                if a.dest != "help"
+            }
+
+        root = build_parser()
+        single = signature(subcommand(root, command))
+        client = signature(subcommand(subcommand(root, "client"), command))
+        assert single - client == ({(("--spice",), False, None, ())}
+                                   if command == "synth" else set())
+        assert client <= single
 
 
 class TestMalformedInputExitCodes:
