@@ -6,8 +6,9 @@ checkpoint lines — on a seeded, deterministic schedule, so a chaos
 campaign is reproducible and its final report can be asserted
 *bit-identical* to a fault-free run:
 
-* a killed worker surfaces as ``worker_crash``; the engine rebuilds the
-  pool and the resilient client retries the request;
+* a killed worker surfaces as ``worker_crash`` for the one job it held
+  (none if it was idle); the engine forks a successor and the resilient
+  client retries the request;
 * a severed connection surfaces as a transport failure; the client
   reconnects and retries (results are deterministic, so replay is safe);
 * a corrupted cache entry fails the schema check in ``_disk_get`` and

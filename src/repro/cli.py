@@ -1032,7 +1032,16 @@ def main(argv: list[str] | None = None) -> int:
         "campaign": _cmd_campaign,
         "bench": _cmd_bench,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro ... | head``): the output
+        # ends here.  Python's signal docs give this recipe for EPIPE:
+        # point stdout at devnull so the exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,8 +13,9 @@ into that service:
 * :mod:`repro.service.jobs` — request execution, shared with the
   single-shot CLI so service results are byte-identical to
   ``repro synth`` / ``repro map`` artifacts;
-* :mod:`repro.service.engine` — bounded queue, process-pool workers,
-  in-flight deduplication, per-job timeouts, crash recovery, drain;
+* :mod:`repro.service.engine` — bounded queue, forked worker
+  processes it owns, in-flight deduplication, per-job timeouts, crash
+  recovery, drain;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio socket daemon behind ``repro serve`` and the client behind
   ``repro client``;

@@ -1,4 +1,4 @@
-"""Job engine: bounded queue, process-pool workers, dedup, timeouts.
+"""Job engine: bounded queue, owned worker processes, dedup, timeouts.
 
 The engine sits between the socket server and the synthesis pipeline:
 
@@ -6,24 +6,27 @@ The engine sits between the socket server and the synthesis pipeline:
   (queued or running); further submissions are rejected with a
   structured ``overloaded`` error instead of growing without bound.
 * **Content-addressed caching** — cacheable requests are keyed by
-  :func:`repro.service.cache.request_key`; hits short-circuit the pool.
+  :func:`repro.service.cache.request_key`; hits never reach a worker.
 * **In-flight deduplication** — identical concurrent requests share
   one future: the second caller attaches to the first caller's job and
   both receive the single result (counter ``service_dedup_hits``).
-* **Process isolation** — jobs run in a :class:`ProcessPoolExecutor`
-  sized by ``jobs``.  Each worker reports ``(job_id, pid)`` on a shared
-  start queue the moment it picks a job up, which is what lets the
-  engine attribute a died-worker event to exactly the job it was
-  running.
-* **Per-job timeouts with cancellation** — a monitor thread kills the
-  worker pid of any job that exceeds ``job_timeout``; the affected
-  client gets a ``timeout`` error and the pool is rebuilt.
-* **Crash recovery** — when the pool breaks (worker SIGKILLed, OOMed),
-  the job that was running on the dead pid resolves to a
-  ``worker_crash`` error, innocent in-flight jobs are resubmitted to a
-  fresh pool, and serving continues.
-* **Graceful drain** — :meth:`drain` stops admitting work, lets
-  in-flight jobs finish (up to a deadline), then shuts the pool down.
+* **Owned workers** — the engine forks ``jobs`` worker processes when
+  it is built, each running one job at a time from its own pipe; one
+  dispatcher thread hands queued jobs to idle workers in FIFO order and
+  reads their results, so it always knows which pid runs which job.
+* **Timeouts and crash recovery** — the dispatcher SIGKILLs the worker
+  of a job that runs past ``job_timeout``.  When a worker exits, exactly
+  the job it held resolves (``timeout``, or ``worker_crash`` naming its
+  pid) and a successor is forked; no other job is touched.
+* **Graceful drain** — :meth:`drain` stops admitting work and lets
+  in-flight jobs finish (up to a deadline); :meth:`shutdown` then kills
+  the workers.
+
+Workers are forked (start method ``fork``, named so that no platform
+default changes it) while other server threads may hold locks, which a
+child inherits held: so every module a job imports is imported below,
+before any fork, and :mod:`repro.perf.counters` re-creates its lock in
+a forked child.
 
 All engine-level events are mirrored into :mod:`repro.perf.counters`
 under ``service_*`` names.
@@ -34,24 +37,24 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import queue as queue_mod
 import select
 import signal
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections import OrderedDict, deque
+from concurrent.futures import Future
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 
+from .. import check, io  # noqa: F401 — a job's lazy imports, done before any fork
 from ..perf import counters
+from . import jobs
 from .cache import ResultCache, request_key
 from .protocol import BATCH_METHODS, CACHEABLE_METHODS
 
 __all__ = ["Engine", "Job"]
 
-_MAX_RETRIES = 1  # resubmissions allowed after an unrelated pool break
+_FORK = multiprocessing.get_context("fork")
 
 #: Bound on the (method, raw-params) -> content-address memo.  Each
 #: entry is a pair of short strings; 4096 covers any realistic distinct
@@ -63,18 +66,19 @@ _KEY_MEMO_CAPACITY = 4096
 _BATCH_RETRY_WINDOW_S = 30.0
 _BATCH_RETRY_SLEEP_S = 0.05
 
+#: How soon the dispatcher tries again when forking a successor failed.
+_FORK_RETRY_S = 1.0
+
 # -- worker side ------------------------------------------------------------------
 
-_START_QUEUE = None
-
-#: Where pidfds are missing, how often a pool worker checks its parent.
+#: Where pidfds are missing, how often a worker checks its parent.
 _ORPHAN_POLL_S = 0.5
 
 
 def _exit_when_orphaned(parent_pid: int) -> None:
-    # A SIGKILLed server never shuts its pool down, and an idle worker
-    # blocks on a call-queue pipe whose write end it holds itself, so
-    # it would wait forever.  The server's pidfd turns readable when it
+    # A SIGKILLed server never stops its workers, and a worker's pipe
+    # stays open in the siblings forked after it, so an idle worker
+    # would never read EOF.  The server's pidfd turns readable when it
     # dies: this thread sleeps in poll() until then and never contends
     # with the worker's jobs.  Without pidfds, watch for reparenting.
     try:
@@ -89,70 +93,26 @@ def _exit_when_orphaned(parent_pid: int) -> None:
     os._exit(1)
 
 
-def _worker_init(start_queue) -> None:
-    global _START_QUEUE
-    _START_QUEUE = start_queue
-    # Workers must not steal the server's shutdown signals.
+def _worker_main(conn) -> None:
+    """Run one ``(method, params)`` job at a time from ``conn``."""
+    # The server owns shutdown: ignore the terminal's Ctrl-C, and let
+    # SIGTERM kill (a handler inherited from the server would swallow it).
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     threading.Thread(
         target=_exit_when_orphaned, args=(os.getppid(),),
         name="worker-orphan-watch", daemon=True,
     ).start()
-
-
-def _run_job(job_id: int, method: str, params: dict) -> dict:
-    if _START_QUEUE is not None:
-        try:
-            _START_QUEUE.put((job_id, os.getpid()))
-        except Exception:  # noqa: BLE001 — start reporting is best-effort; check: allow C003
-            pass
-    from . import jobs
-
-    return jobs.execute(method, params)
-
-
-def _confirmed_dead(pid: int, window_s: float = 0.25) -> bool:
-    """Whether ``pid`` is (or shortly becomes) dead.
-
-    The executor reports a broken pool from its own thread, which can
-    run a hair *before* a SIGKILLed worker finishes turning into a
-    zombie — a single instantaneous liveness probe would then blame the
-    pool break on some other worker and wrongly retry the victim's job.
-    A killed process transitions within milliseconds, so polling over a
-    short window makes the classification reliable, while a genuinely
-    innocent (still running) worker stays alive through the whole
-    window and keeps its retry.
-    """
-    deadline = time.monotonic() + window_s
-    while True:
-        if not _pid_alive(pid):
-            return True
-        if time.monotonic() >= deadline:
-            return False
-        time.sleep(0.005)
-
-
-def _pid_alive(pid: int) -> bool:
-    """True when ``pid`` is a live process (zombies count as dead).
-
-    A SIGKILLed pool worker stays a zombie until the executor reaps it,
-    and zombies still answer ``os.kill(pid, 0)`` — so on Linux the
-    process state is read from ``/proc`` to tell the two apart.
-    """
     try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-        # Field 3, after the parenthesised (and possibly space-ridden) comm.
-        state = stat.rpartition(")")[2].split()[0]
-        return state not in ("Z", "X", "x")
-    except (OSError, IndexError):  # check: allow C003
+        while True:
+            method, params = conn.recv()
+            try:
+                payload = jobs.execute(method, params)
+            except Exception as exc:  # noqa: BLE001 — answered as a structured error
+                payload = _error_payload("internal", f"{type(exc).__name__}: {exc}")
+            conn.send(payload)
+    except (EOFError, OSError):  # check: allow C003 — the server is gone
         pass
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 def _error_payload(code: str, message: str) -> dict:
@@ -178,13 +138,31 @@ class Job:
     key: str | None
     future: Future
     created_at: float
-    generation: int = 0
     pid: int | None = None
     started_at: float | None = None
     timed_out: bool = False
-    retries: int = 0
     waiters: int = 1
-    pool_future: Future | None = field(default=None, repr=False)
+
+
+class _Worker:
+    """One forked worker process, the engine's end of its pipe and its job."""
+
+    def __init__(self):
+        self.conn, child_conn = _FORK.Pipe()
+        self.process = _FORK.Process(
+            target=_worker_main, args=(child_conn,), name="repro-worker", daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        self.pid = self.process.pid
+        self.job: Job | None = None
+
+    def close(self) -> None:
+        """Kill the process (if still running), reap it, release the pipe."""
+        self.process.kill()
+        self.process.join()
+        self.process.close()
+        self.conn.close()
 
 
 class Engine:
@@ -209,87 +187,123 @@ class Engine:
         self._key_memo_lock = threading.Lock()
         self._jobs: dict[int, Job] = {}
         self._inflight: dict[str, Job] = {}
+        self._queue: deque[Job] = deque()
         self._next_id = 1
-        self._generation = 0
         self._draining = False
         self._closed = False
 
-        ctx = multiprocessing.get_context()
-        self._start_queue = ctx.Queue()
-        self._pool = self._new_pool()
-        self._stop = threading.Event()
-        self._start_thread = threading.Thread(
-            target=self._watch_starts, name="engine-starts", daemon=True
+        # Wakes the dispatcher when a job is queued or the engine closes.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        self._workers = [_Worker() for _ in range(self.max_workers)]
+        self._dispatcher = threading.Thread(
+            target=self._dispatch, name="engine-dispatch", daemon=True
         )
-        self._start_thread.start()
-        self._timeout_thread = None
-        if job_timeout is not None:
-            self._timeout_thread = threading.Thread(
-                target=self._watch_timeouts, name="engine-timeouts", daemon=True
-            )
-            self._timeout_thread.start()
+        self._dispatcher.start()
 
-    # -- pool management ---------------------------------------------------------
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_worker_init,
-            initargs=(self._start_queue,),
-        )
-
-    def _submit_locked(self, job: Job) -> None:
-        job.generation = self._generation
-        job.pid = None
-        job.started_at = None
+    # -- dispatcher --------------------------------------------------------------
+    def _wake(self) -> None:
         try:
-            pool_future = self._pool.submit(_run_job, job.job_id, job.method, job.params)
-        except BrokenProcessPool:
-            # The pool broke between jobs (e.g. a worker SIGKILLed while
-            # idle): rebuild and retry through the standard recovery
-            # path instead of leaking the exception to the caller.
-            self._handle_broken_locked(job)
-            return
-        job.pool_future = pool_future
-        pool_future.add_done_callback(lambda f, job_id=job.job_id: self._on_done(job_id, f))
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # check: allow C003 — a wake-up is already pending
+            pass
 
-    # -- monitors ----------------------------------------------------------------
-    def _watch_starts(self) -> None:
-        while not self._stop.is_set():
-            try:
-                item = self._start_queue.get(timeout=0.1)
-            except (queue_mod.Empty, OSError, EOFError):  # check: allow C003
-                continue
-            if item is None:
-                break
-            job_id, pid = item
+    def _dispatch(self) -> None:
+        """The engine's one thread: start, collect, time out, replace."""
+        while True:
+            retry = self._fork_missing()
+            started = []
             with self._lock:
-                job = self._jobs.get(job_id)
-                if job is not None and job.started_at is None:
-                    job.pid = pid
-                    job.started_at = time.monotonic()
-
-    def _watch_timeouts(self) -> None:
-        assert self.job_timeout is not None
-        while not self._stop.is_set():
-            now = time.monotonic()
-            overdue: list[tuple[int, int]] = []
-            with self._lock:
-                for job in self._jobs.values():
-                    if (
-                        job.started_at is not None
-                        and job.pid is not None
-                        and not job.timed_out
-                        and now - job.started_at > self.job_timeout
-                    ):
-                        job.timed_out = True
-                        overdue.append((job.job_id, job.pid))
-            for _job_id, pid in overdue:
-                counters.increment("service_job_timeouts")
+                if self._closed:
+                    return
+                for worker in self._workers:
+                    while worker.job is None and self._queue:
+                        job = self._queue.popleft()
+                        if self._jobs.get(job.job_id) is job:  # not resolved by drain
+                            worker.job, job.pid, job.started_at = job, worker.pid, time.monotonic()
+                            started.append(worker)
+                timeout = self._kill_overdue_locked()
+                if retry is not None:
+                    timeout = retry if timeout is None else min(timeout, retry)
+                waiting = [self._wake_r]
+                for worker in self._workers:
+                    waiting.append(worker.process.sentinel)
+                    if worker.job is not None:
+                        waiting.append(worker.conn)
+            for worker in started:
+                job = worker.job
                 try:
-                    os.kill(pid, signal.SIGKILL)
-                except OSError:  # check: allow C003
-                    pass
-            self._stop.wait(min(0.05, self.job_timeout / 4))
+                    worker.conn.send((job.method, job.params))
+                except OSError:  # died while idle: the job waits for its successor
+                    with self._lock:
+                        worker.job, job.pid, job.started_at = None, None, None
+                        self._queue.appendleft(job)
+            ready = set(wait(waiting, timeout))
+            if self._wake_r in ready:
+                os.read(self._wake_r, 4096)
+            for worker in list(self._workers):
+                if worker.conn in ready:
+                    try:
+                        payload = worker.conn.recv()
+                    except (EOFError, OSError):  # died mid-answer
+                        self._bury(worker)
+                        continue
+                    with self._lock:
+                        job, worker.job = worker.job, None
+                        if job is not None and self._jobs.get(job.job_id) is job:
+                            self._resolve_locked(job, payload)
+                if worker.process.sentinel in ready:
+                    self._bury(worker)
+
+    def _fork_missing(self) -> float | None:
+        """Fork a successor for each dead worker; a retry delay on failure."""
+        while len(self._workers) < self.max_workers and not self._closed:
+            try:
+                worker = _Worker()
+            except OSError:  # out of processes or memory for now
+                return _FORK_RETRY_S
+            with self._lock:
+                self._workers.append(worker)
+        return None
+
+    def _kill_overdue_locked(self) -> float | None:
+        """SIGKILL the workers of overdue jobs; seconds until the next is due."""
+        if self.job_timeout is None:
+            return None
+        now = time.monotonic()
+        timeout = None
+        for worker in self._workers:
+            job = worker.job
+            if job is None or job.timed_out:
+                continue
+            left = job.started_at + self.job_timeout - now
+            if left > 0 or worker.conn.poll():  # not due, or its answer is here
+                timeout = left if timeout is None else min(timeout, left)
+                continue
+            job.timed_out = True
+            counters.increment("service_job_timeouts")
+            worker.process.kill()
+        return None if timeout is None else max(0.0, timeout)
+
+    def _bury(self, worker: _Worker) -> None:
+        """Reap a dead ``worker`` and resolve exactly the job it held."""
+        worker.close()
+        with self._lock:
+            self._workers.remove(worker)
+            job = worker.job
+            if job is None or self._jobs.get(job.job_id) is not job:
+                return
+            if job.timed_out:
+                self._resolve_locked(job, _error_payload(
+                    "timeout",
+                    f"job exceeded the {self.job_timeout:g}s budget and was cancelled",
+                ))
+            else:
+                counters.increment("service_worker_crashes")
+                self._resolve_locked(job, _error_payload(
+                    "worker_crash",
+                    f"worker pid {worker.pid} died while executing this job",
+                ))
 
     # -- completion --------------------------------------------------------------
     def _resolve_locked(self, job: Job, payload: dict) -> None:
@@ -304,56 +318,6 @@ class Engine:
             counters.increment("service_jobs_failed")
         if not job.future.done():
             job.future.set_result(payload)
-
-    def _on_done(self, job_id: int, pool_future: Future) -> None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.pool_future is not pool_future:
-                return  # already resolved or resubmitted under a newer future
-            exc = pool_future.exception()
-            if exc is None:
-                self._resolve_locked(job, pool_future.result())
-            elif isinstance(exc, BrokenProcessPool):
-                self._handle_broken_locked(job)
-            else:
-                self._resolve_locked(
-                    job, _error_payload("internal", f"{type(exc).__name__}: {exc}")
-                )
-
-    def _handle_broken_locked(self, job: Job) -> None:
-        # First affected job of this pool generation rebuilds the pool;
-        # later callbacks land on the already-bumped generation.
-        if job.generation == self._generation:
-            self._generation += 1
-            old, self._pool = self._pool, self._new_pool()
-            threading.Thread(
-                target=old.shutdown, kwargs={"wait": False}, daemon=True
-            ).start()
-
-        if job.timed_out:
-            self._resolve_locked(job, _error_payload(
-                "timeout",
-                f"job exceeded the {self.job_timeout:g}s budget and was cancelled",
-            ))
-        elif job.pid is not None and _confirmed_dead(job.pid):
-            counters.increment("service_worker_crashes")
-            self._resolve_locked(job, _error_payload(
-                "worker_crash",
-                f"worker pid {job.pid} died while executing this job",
-            ))
-        elif job.retries >= _MAX_RETRIES:
-            self._resolve_locked(job, _error_payload(
-                "worker_crash",
-                "worker pool broke repeatedly while executing this job",
-            ))
-        elif self._draining:
-            self._resolve_locked(job, _error_payload(
-                "draining", "server is draining; job was not retried"
-            ))
-        else:
-            job.retries += 1
-            counters.increment("service_job_retries")
-            self._submit_locked(job)
 
     # -- key derivation ----------------------------------------------------------
     def _memo_probe(self, method: str, params: dict) -> tuple[bool, str | None, str | None]:
@@ -481,7 +445,8 @@ class Engine:
             self._jobs[job.job_id] = job
             if key is not None:
                 self._inflight[key] = job
-            self._submit_locked(job)
+            self._queue.append(job)
+            self._wake()
             return job.future, info
 
     def submit_batch(self, method: str, params: dict) -> tuple[Future, dict]:
@@ -555,15 +520,14 @@ class Engine:
         return _resolved({"ok": True, "result": result}), info
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the current pool's worker processes.
+        """PIDs of the engine's worker processes.
 
         Exposed for the chaos harness (kill a worker mid-batch) and for
-        operators; may be momentarily stale across a pool rebuild.
+        operators; a dead worker's pid stays listed until the
+        dispatcher has replaced it.
         """
         with self._lock:
-            pool = self._pool
-        processes = getattr(pool, "_processes", None) or {}
-        return sorted(processes)
+            return sorted(worker.pid for worker in self._workers)
 
     def stats(self) -> dict:
         """Live engine state plus the ``service_*`` counters."""
@@ -601,8 +565,8 @@ class Engine:
         """Stop admitting jobs and wait for in-flight ones to finish.
 
         Returns True when everything completed within ``timeout``;
-        stragglers are resolved with a ``draining`` error and their
-        workers torn down.
+        stragglers are resolved with a ``draining`` error (and
+        :meth:`shutdown` kills their workers).
         """
         with self._lock:
             self._draining = True
@@ -625,22 +589,18 @@ class Engine:
         return clean
 
     def shutdown(self, drain_timeout: float = 30.0) -> None:
-        """Drain, then release the pool and monitor threads."""
+        """Drain, then stop the dispatcher and kill the workers."""
         if self._closed:
             return
         self.drain(drain_timeout)
-        self._closed = True
-        self._stop.set()
-        try:
-            self._start_queue.put(None)
-        except Exception:  # noqa: BLE001; check: allow C003
-            pass
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._start_thread.join(timeout=2.0)
-        if self._timeout_thread is not None:
-            self._timeout_thread.join(timeout=2.0)
-        self._start_queue.close()
-        self._start_queue.join_thread()
+        with self._lock:
+            self._closed = True
+        self._wake()
+        self._dispatcher.join()
+        for worker in self._workers:
+            worker.close()
+        os.close(self._wake_r)
+        os.close(self._wake_w)
 
     def __enter__(self) -> "Engine":
         return self

@@ -11,7 +11,9 @@ recovery live).
 Fast path anatomy (what makes cached traffic ~10k+ RPS on one box):
 
 * frames are read in batches — one ``recv`` of a pipelined connection
-  yields many frames, answered with a single coalesced write;
+  yields many frames, and each run of answers that are ready in frame
+  order leaves in a single write (a slow frame holds back only the
+  answers after it);
 * the request's content address comes from a bounded memo of the raw
   parameter bytes (``service_key_memo_hits``) — no re-parse;
 * the cached result string is spliced verbatim into the response frame
@@ -361,9 +363,7 @@ class ServiceServer:
                     lines = self._split_frames(buf)
                     if not lines:
                         break
-                    out = await self._process_frames(lines)
-                    writer.write(b"".join(out))
-                    await writer.drain()
+                    await self._process_frames(lines, writer)
         except (ConnectionResetError, BrokenPipeError, OSError):  # check: allow C003
             pass
         except asyncio.CancelledError:  # server shutdown mid-connection
@@ -404,14 +404,15 @@ class ServiceServer:
             return error_response(request_id, "draining", _DRAINING_MESSAGE)
         return None
 
-    async def _process_frames(self, lines: list[bytes]) -> list[bytes]:
-        """Turn one batch of frames into one ordered batch of responses.
+    async def _process_frames(self, lines: list[bytes], writer) -> None:
+        """Answer one batch of frames in order, each as soon as it can go.
 
         Inline work (protocol errors, ping/stats, draining rejections,
         cached hits) is answered on the loop; everything else is
-        dispatched concurrently and awaited in order, so responses stay
-        sequential per connection while the engine runs the batch's
-        misses in parallel.
+        dispatched concurrently.  An answer is written once it and every
+        earlier frame of the batch are answered, so a ready answer never
+        waits for a later, slower frame, while a run of ready answers
+        leaves in one write.
         """
         loop = asyncio.get_running_loop()
         results: list[bytes | asyncio.Task] = [b""] * len(lines)
@@ -433,9 +434,17 @@ class ServiceServer:
                 )
                 continue
             results[i] = loop.create_task(self._slow_frame(request, t0))
-        return [
-            item if isinstance(item, bytes) else await item for item in results
-        ]
+        ready: list[bytes] = []
+        for item in results:
+            if not isinstance(item, bytes):
+                if not item.done() and ready:
+                    writer.write(b"".join(ready))
+                    ready.clear()
+                    await writer.drain()
+                item = await item
+            ready.append(item)
+        writer.write(b"".join(ready))
+        await writer.drain()
 
     async def _slow_frame(self, request: dict, t0: float) -> bytes:
         """Admit one engine-bound frame off the loop and await its result."""

@@ -1,5 +1,5 @@
 """Acceptance: SIGKILL a campaign halfway, resume, bit-identical report;
-the killed server's pool workers exit on their own.
+the killed server's workers exit on their own.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 
 from repro.campaign.runner import CampaignConfig, run_campaign
 from repro.service import RetryPolicy, ServiceClient
-from repro.service.engine import _pid_alive
 from repro.service.server import ServiceServer
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
@@ -63,6 +62,15 @@ def _children(pid: int) -> list[int]:
     return children
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` is a live process; a zombie counts as dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:  # reaped, or gone
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X", "x")
+
+
 def _config() -> CampaignConfig:
     return CampaignConfig.from_suite(
         "c17", samples=300, shard_size=5, p_stuck_on=0.01, p_stuck_off=0.05
@@ -94,15 +102,15 @@ def test_sigkill_halfway_then_resume_matches_uninterrupted(tmp_path):
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 
-    # The child's pool workers notice they were orphaned and exit.
-    assert workers, "the campaign child never started pool workers"
+    # The child's workers notice they were orphaned and exit.
+    assert workers, "the campaign child never started its workers"
     deadline = time.monotonic() + 10.0
     while any(map(_pid_alive, workers)) and time.monotonic() < deadline:
         time.sleep(0.05)
     orphans = [pid for pid in workers if _pid_alive(pid)]
     for pid in orphans:
         os.kill(pid, signal.SIGKILL)
-    assert not orphans, f"pool workers {orphans} outlived their SIGKILLed server"
+    assert not orphans, f"workers {orphans} outlived their SIGKILLed server"
 
     with ServiceServer(("tcp", "127.0.0.1", 0), jobs=2) as server:
         _kind, host, port = server.address

@@ -1,5 +1,7 @@
 """Unit tests for the perf counters and stage timers."""
 
+import multiprocessing
+import threading
 import time
 
 import pytest
@@ -39,6 +41,36 @@ class TestCounters:
         snap = counters.snapshot()
         snap["a"] = 999
         assert counters.get("a") == 1
+
+
+    def test_forked_child_counts_while_another_thread_holds_the_lock(self):
+        # A child forked while some thread holds the lock must not
+        # inherit it held: the service's workers are forked that way.
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with counters._LOCK:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=counters.increment, args=("forked",)
+            )
+            child.start()
+            child.join(timeout=10)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        finally:
+            release.set()
+            holder.join()
+        assert not hung, "the child waited on the parent's lock"
+        assert child.exitcode == 0
 
 
 class TestStageTimer:

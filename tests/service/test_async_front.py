@@ -127,6 +127,26 @@ def test_distinct_pipelined_frames_are_not_coalesced(server):
     assert counters.get("service_jobs_submitted") == len(exprs)
 
 
+def test_a_ready_answer_does_not_wait_for_a_slower_frame_of_its_batch(server):
+    sock, reader = _raw_conn(server)
+    try:
+        t0 = time.monotonic()
+        sock.sendall(b"".join(encode(frame) for frame in (
+            make_request("ping", {}, request_id=1),
+            make_request("sleep", {"seconds": 2.0}, request_id=2),
+            make_request("ping", {}, request_id=3),
+        )))
+        first = json.loads(reader.readline())
+        first_at = time.monotonic() - t0
+        answers = [first] + [json.loads(reader.readline()) for _ in range(2)]
+    finally:
+        reader.close()
+        sock.close()
+    assert first_at < 1.0, f"the first ping waited {first_at:.2f} s for the sleep"
+    assert [a["id"] for a in answers] == [1, 2, 3]
+    assert all(a["ok"] for a in answers)
+
+
 def test_a_request_that_cannot_be_keyed_is_answered_on_a_live_connection(server):
     """Admission treats every canonicalization failure as "no key": the
     worker answers it with a structured error (never ``draining``), and a

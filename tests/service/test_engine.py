@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.perf import counters
+from repro.service import engine as engine_module
 from repro.service.cache import ResultCache
 from repro.service.engine import Engine
 
@@ -115,7 +118,7 @@ def test_job_timeout_kills_the_worker_and_reports_timeout():
         assert payload["ok"] is False
         assert payload["error"]["code"] == "timeout"
         assert counters.get("service_job_timeouts") == 1
-        # The pool was rebuilt: the engine keeps serving.
+        # The killed worker was replaced: the engine keeps serving.
         after, _ = engine.submit("sleep", {"seconds": 0.0})
         assert after.result(timeout=30)["ok"] is True
         engine.shutdown(drain_timeout=5.0)
@@ -132,11 +135,117 @@ def test_killed_worker_fails_exactly_that_job_and_engine_recovers():
         assert payload["ok"] is False
         assert payload["error"]["code"] == "worker_crash"
         assert str(pid) in payload["error"]["message"]
-        # The innocent queued job was resubmitted to the fresh pool and ran.
+        # The queued job was never on the dead worker: its successor runs it.
         assert queued.result(timeout=30)["ok"] is True
         assert counters.get("service_worker_crashes") == 1
-        assert counters.get("service_job_retries") >= 1
         engine.shutdown(drain_timeout=5.0)
+
+
+def test_timeout_kill_leaves_the_neighbour_job_on_its_worker():
+    # The overdue job's kill must not touch the other worker: the job
+    # running there keeps its pid and answers once, at its natural time
+    # (1.5 s after its submit; a re-run after the kill at 2 s would
+    # answer 2.5 s after it).
+    counters.reset()
+    with Engine(jobs=2, queue_size=8, job_timeout=2.0) as engine:
+        victim, _ = engine.submit("sleep", {"seconds": 60})
+        time.sleep(1.0)
+        t0 = time.monotonic()
+        neighbour, _ = engine.submit("sleep", {"seconds": 1.5})
+
+        def pids() -> dict:
+            return {job["id"]: job["pid"] for job in engine.stats()["jobs"]}
+
+        deadline = time.monotonic() + 10.0
+        while len(pids()) < 2 or None in pids().values():
+            assert time.monotonic() < deadline, "the jobs never started"
+            time.sleep(0.02)
+        neighbour_id = max(pids())
+        before = pids()[neighbour_id]
+        assert victim.result(timeout=30)["error"]["code"] == "timeout"
+        time.sleep(0.2)  # room for a wrongly resubmitted neighbour to move
+        assert pids() == {neighbour_id: before}
+        payload = neighbour.result(timeout=30)
+        elapsed = time.monotonic() - t0
+        assert payload["ok"] is True
+        assert elapsed < 2.0, f"the neighbour answered {elapsed:.2f} s after its submit"
+        assert counters.get("service_jobs_completed") == 1
+        assert counters.get("service_job_timeouts") == 1
+        engine.shutdown(drain_timeout=5.0)
+
+
+def test_worker_killed_while_idle_is_replaced_and_the_next_job_runs():
+    counters.reset()
+    with Engine(jobs=1, queue_size=8) as engine:
+        [pid] = engine.worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while engine.worker_pids() == [pid]:
+            assert time.monotonic() < deadline, "the dead worker was not replaced"
+            time.sleep(0.02)
+        [successor] = engine.worker_pids()
+        future, _ = engine.submit("sleep", {"seconds": 0.5})
+        assert _wait_for_running_pid(engine) == successor
+        assert future.result(timeout=30)["ok"] is True
+        # No job was lost: an idle worker's death is no job's crash.
+        assert counters.get("service_worker_crashes") == 0
+        engine.shutdown(drain_timeout=5.0)
+
+
+def test_a_failed_successor_fork_is_retried(monkeypatch):
+    with Engine(jobs=1, queue_size=8) as engine:
+        real_worker, failures = engine_module._Worker, []
+
+        def fork_fails_once():
+            if not failures:
+                failures.append(1)
+                raise OSError("fork: resource temporarily unavailable")
+            return real_worker()
+
+        monkeypatch.setattr(engine_module, "_Worker", fork_fails_once)
+        [pid] = engine.worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        while pid in engine.worker_pids():
+            assert time.monotonic() < deadline, "the dead worker was not reaped"
+            time.sleep(0.02)
+        future, _ = engine.submit("sleep", {"seconds": 0.0})
+        payload = future.result(timeout=30)
+        assert payload["ok"] is True, payload
+        assert failures == [1]
+        engine.shutdown(drain_timeout=5.0)
+
+
+def test_concurrent_submitters_and_a_killed_worker_cost_at_most_one_job():
+    # More workers than cores and a short switch interval, so that a
+    # lost update to the queue or to a worker's job strands a future.
+    counters.reset()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Engine(jobs=3, queue_size=1024) as engine:
+            futures, lock = [], threading.Lock()
+
+            def submit_many() -> None:
+                mine = [engine.submit("sleep", {"seconds": 0.0})[0] for _ in range(50)]
+                with lock:
+                    futures.extend(mine)
+
+            threads = [threading.Thread(target=submit_many) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            os.kill(engine.worker_pids()[0], signal.SIGKILL)
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            payloads = [future.result(timeout=60) for future in futures]
+            engine.shutdown(drain_timeout=5.0)
+    finally:
+        sys.setswitchinterval(previous)
+    failed = [p for p in payloads if not p["ok"]]
+    assert len(payloads) == 400 and len(failed) <= 1
+    assert all(p["error"]["code"] == "worker_crash" for p in failed)
+    assert counters.get("service_jobs_completed") == 400 - len(failed)
 
 
 def test_drain_finishes_inflight_work_then_refuses_new_jobs(engine):

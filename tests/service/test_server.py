@@ -7,16 +7,24 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.perf import counters
 from repro.service import ServiceClient, ServiceClientError
+from repro.service.jobs import execute
+from repro.service.protocol import encode, make_request
 from repro.service.server import ServiceServer, format_address, parse_address
+
+_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -182,3 +190,42 @@ def test_killed_worker_fails_exactly_one_client_and_server_keeps_serving():
             result = observer.result("synth", {"expr": "a & b & c"})
             assert result["validation"]["ok"] is True
     assert counters.get("service_worker_crashes") == 1
+
+
+def test_fresh_server_process_answers_a_pipelined_synth_validate_and_ping():
+    # A fresh interpreter, because in this one another test may already
+    # have imported what a job imports lazily: a worker forked while a
+    # server thread imported such a module inherited its import lock
+    # held and hung on its own import of it.
+    design = execute("synth", {"expr": "a & b"})["result"]["design_json"]
+    env = dict(os.environ, PYTHONPATH=str(_SRC), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
+         "--jobs", "2", "--drain-timeout", "5"],
+        stdout=subprocess.PIPE, env=env,
+    )
+    try:
+        banner = proc.stdout.readline().decode()
+        port = int(re.search(r":(\d+) \(", banner).group(1))
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            t0 = time.monotonic()
+            sock.sendall(b"".join(encode(frame) for frame in (
+                make_request("synth", {"expr": "a & b"}, request_id=0),
+                make_request("validate", {"design_json": design, "expr": "a & b"},
+                             request_id=1),
+                make_request("ping", {}, request_id=2),
+            )))
+            with sock.makefile("rb") as reader:
+                answers = [json.loads(reader.readline()) for _ in range(3)]
+            elapsed = time.monotonic() - t0
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert elapsed < 10.0, f"the three answers took {elapsed:.1f} s"
+    assert [a["id"] for a in answers] == [0, 1, 2]
+    assert all(a["ok"] for a in answers), answers

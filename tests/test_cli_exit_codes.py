@@ -56,6 +56,28 @@ def test_module_entry_point_synthesizes_an_expression():
     assert "crossbar" in proc.stdout
 
 
+def test_module_entry_point_stops_quietly_when_stdout_closes():
+    # ``repro faults ... | head -1``: the reader leaves after one line
+    # while the writer, megabytes beyond a pipe's buffer, still writes.
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "faults", "300", "300",
+         "--p-stuck-on", "0.2", "--p-stuck-off", "0.2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == 1
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stderr.close()
+        proc.wait()
+    assert stderr == b""
+
+
 def test_module_entry_point_bad_expression_exits_two():
     proc = _run_module("synth", "--expr", "a &&& b")
     assert proc.returncode == 2
